@@ -7,6 +7,7 @@ from .attribution import (
     verify_local_accuracy,
 )
 from .baseline import EwmaBaseline
+from .config import DetectorConfig
 from .evaluation import (
     BenchmarkRow,
     DdmDetector,
@@ -33,6 +34,7 @@ __all__ = [
     "BenchmarkRow",
     "BufferedStream",
     "DdmDetector",
+    "DetectorConfig",
     "DriftAlert",
     "DriftSchedule",
     "EwmaBaseline",

@@ -25,6 +25,7 @@ from .tree import SCOPE_LOCAL, AdaptiveClusterTree, DriftAlert
 REASON_INITIAL = "initial"
 REASON_LEAF_CHANGE = "leaf-change"
 REASON_LOCAL_ALERT = "local-alert"
+REASON_EVERY_STEP = "every-step"
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,20 @@ class AttributionRecord:
     ``history`` holds every computed vector (the initial one included),
     aligned with ``log`` entries of (step, reason). Between recompute
     events the stored attribution is simply the latest history entry.
+    ``leaf_id`` is the tree leaf the observation was last routed to, or
+    None for a record refreshed without the tree.
     """
 
     obs: Observation
     current: AttributionVector
-    leaf_id: int
+    leaf_id: int | None
     log: list[tuple[int, str]] = field(default_factory=list)
     history: list[AttributionVector] = field(default_factory=list)
+
+    @classmethod
+    def start(cls, obs: Observation, vec: AttributionVector, leaf_id: int | None = None) -> AttributionRecord:
+        """A record holding only its initial attribution ``vec``."""
+        return cls(obs, vec, leaf_id, [(vec.t, REASON_INITIAL)], [vec])
 
     @property
     def recompute_count(self) -> int:
@@ -61,17 +69,6 @@ class AttributionRecord:
     @property
     def start_t(self) -> int:
         return self.log[0][0]
-
-    def stored_at(self, t: int) -> AttributionVector:
-        """The attribution in effect at step t (piecewise constant)."""
-        if t < self.start_t:
-            raise ValueError(f"record tracked from step {self.start_t}, asked for {t}")
-        chosen = self.history[0]
-        for vec in self.history[1:]:
-            if vec.t > t:
-                break
-            chosen = vec
-        return chosen
 
 
 def _require_linear(model) -> None:
@@ -125,13 +122,7 @@ class AttributionTracker:
     def track(self, obs: Observation, baseline_input: np.ndarray, t: int) -> AttributionRecord:
         vec = attribute_linear(self.model, obs.x, baseline_input, t)
         leaf = self.tree.find_leaf(obs.x)
-        record = AttributionRecord(
-            obs=obs,
-            current=vec,
-            leaf_id=leaf.node_id,
-            log=[(t, REASON_INITIAL)],
-            history=[vec],
-        )
+        record = AttributionRecord.start(obs, vec, leaf.node_id)
         self.records.append(record)
         return record
 
@@ -156,40 +147,6 @@ class AttributionTracker:
             record.history.append(vec)
             recomputed.append(record)
         return recomputed
-
-
-def recompute_metrics(
-    records: list[AttributionRecord], oracle_trajectories: list[np.ndarray]
-) -> tuple[float, float]:
-    """Score a tracking run against per-step oracle attributions.
-
-    ``oracle_trajectories[i]`` is the (n_steps, m) array of attributions
-    an always-recompute policy would have stored for record i, starting
-    at the record's first tracked step. Returns the recomputation
-    reduction in percent (1 minus computations per tracked step,
-    averaged over records) and the mean absolute deviation of stored
-    from oracle attributions over records, steps, and features.
-    """
-    if len(records) != len(oracle_trajectories):
-        raise ValueError(
-            f"{len(records)} records but {len(oracle_trajectories)} oracle trajectories"
-        )
-    if not records:
-        raise ValueError("need at least one record to score")
-    reductions = []
-    abs_dev_sum = 0.0
-    abs_dev_count = 0
-    for record, oracle in zip(records, oracle_trajectories):
-        oracle = np.asarray(oracle, dtype=float)
-        n_steps = oracle.shape[0]
-        if n_steps == 0:
-            raise ValueError("oracle trajectory is empty")
-        reductions.append(1.0 - record.recompute_count / n_steps)
-        for k in range(n_steps):
-            stored = record.stored_at(record.start_t + k)
-            abs_dev_sum += float(np.abs(stored.phi - oracle[k]).sum())
-            abs_dev_count += oracle.shape[1]
-    return 100.0 * float(np.mean(reductions)), abs_dev_sum / abs_dev_count
 
 
 def trace_rows(records: list[AttributionRecord]):

@@ -25,10 +25,6 @@ class EwmaBaseline:
         self.beta = beta
         self.ewma: np.ndarray | None = None
 
-    @property
-    def initialized(self) -> bool:
-        return self.ewma is not None
-
     def update(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.ewma is None:

@@ -15,11 +15,11 @@ import json
 import sys
 from pathlib import Path
 
-from .config import DEFAULTS, load_config, merge_config, validate_config
+from .config import DEFAULTS, MODEL_KINDS, detector_settings, load_config, merge_config, validate_config
 from .evaluation import run_benchmark
 from .generators import AGRAWAL_RULES, SEA_THRESHOLDS, DriftSchedule, make_generator
 from .injection import MI_BINS, permute_inject
-from .pipeline import MODEL_KINDS, TRACKING_POLICIES, cdleeds_runner, ddm_runner, run_detection, run_tracking
+from .pipeline import TRACKING_POLICIES, cdleeds_runner, ddm_runner, run_detection, run_tracking
 from .stream import StreamSource, buffer_stream, read_csv
 
 DETECTOR_BUILDERS = ("cdleeds", "ddm")
@@ -53,18 +53,26 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_timings(out: Path, result) -> None:
+    """Wall-clock figures of a run, kept apart from its deterministic outputs."""
+    _write_json(
+        out / "timings.json",
+        {"mean_update_seconds": result.mean_update_seconds, "total_seconds": result.total_seconds},
+    )
+
+
 def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".drifts.json")
 
 
-def _write_stream_files(out: Path, name: str, stream: StreamSource, meta: dict) -> tuple[Path, Path]:
+def _write_stream_files(out: Path, name: str, stream: StreamSource, meta: dict) -> None:
     csv_path = out / f"{name}.csv"
     names = stream.feature_names or tuple(f"f{i}" for i in range(stream.n_features))
     rows = ([*item.x.tolist(), int(item.y)] for item in stream)
     _write_csv(csv_path, [*names, "label"], rows)
     sidecar = _sidecar_path(csv_path)
     _write_json(sidecar, meta)
-    return csv_path, sidecar
+    print(f"wrote {csv_path} and {sidecar}")
 
 
 # ----------------------------------------------------------------------
@@ -99,33 +107,30 @@ def _build_generator(args, seed: int) -> StreamSource:
     )
 
 
+def _label_column(cfg) -> str:
+    return cfg["label_column"] if cfg["label_column"] is not None else "label"
+
+
+def _read_stream(path, cfg, require_sidecar: bool = False) -> StreamSource:
+    """A CSV stream carrying the drift positions of its sidecar, if any."""
+    csv_path = Path(path)
+    sidecar = _sidecar_path(csv_path)
+    positions = ()
+    if sidecar.exists():
+        positions = tuple(json.loads(sidecar.read_text())["positions"])
+    elif require_sidecar:
+        raise ValueError(f"stream {path} has no ground-truth sidecar {sidecar}")
+    return read_csv(csv_path, label_column=_label_column(cfg), drift_positions=positions)
+
+
 def _load_stream(args, cfg) -> StreamSource:
     if args.input and args.kind:
         raise ValueError("pass either --input or --kind, not both")
     if args.input:
-        csv_path = Path(args.input)
-        positions = ()
-        sidecar = _sidecar_path(csv_path)
-        if sidecar.exists():
-            positions = tuple(json.loads(sidecar.read_text())["positions"])
-        label = cfg["label_column"] if cfg["label_column"] is not None else "label"
-        return read_csv(csv_path, label_column=label, drift_positions=positions)
+        return _read_stream(args.input, cfg)
     if args.kind:
         return buffer_stream(_build_generator(args, cfg["seed"]))
     raise ValueError("need a stream: pass --input CSV or --kind sea|agrawal")
-
-
-def _detector_kwargs(cfg) -> dict:
-    return {
-        "model": cfg["model"],
-        "learning_rate": cfg["learning_rate"],
-        "gamma": cfg["gamma"],
-        "alpha": cfg["alpha"],
-        "beta": cfg["beta"],
-        "window": cfg["window"],
-        "max_age": cfg["max_age"],
-        "max_depth": cfg["max_depth"],
-    }
 
 
 # ----------------------------------------------------------------------
@@ -146,15 +151,13 @@ def cmd_generate(args) -> int:
         "positions": list(source.schedule.positions),
         "widths": list(source.schedule.widths),
     }
-    csv_path, sidecar = _write_stream_files(out, "stream", buffer_stream(source), meta)
-    print(f"wrote {csv_path} and {sidecar}")
+    _write_stream_files(out, "stream", buffer_stream(source), meta)
     return 0
 
 
 def cmd_inject_drift(args) -> int:
     cfg = _merged_config(args)
-    label = cfg["label_column"] if cfg["label_column"] is not None else "label"
-    stream = read_csv(args.input, label_column=label)
+    stream = read_csv(args.input, label_column=_label_column(cfg))
     schedule = _build_schedule(args.positions, args.widths)
     injected = permute_inject(
         stream,
@@ -172,15 +175,14 @@ def cmd_inject_drift(args) -> int:
         "positions": list(injected.drift_positions),
         "widths": list(schedule.widths),
     }
-    csv_path, sidecar = _write_stream_files(out, "injected", injected, meta)
-    print(f"wrote {csv_path} and {sidecar}")
+    _write_stream_files(out, "injected", injected, meta)
     return 0
 
 
 def cmd_detect(args) -> int:
     cfg = _merged_config(args)
     stream = _load_stream(args, cfg)
-    result = run_detection(stream, collect_stats=True, **_detector_kwargs(cfg))
+    result = run_detection(stream, **detector_settings(cfg))
     out = _out_dir(args)
     _write_jsonl(out / "alerts.jsonl", (alert.to_dict() for alert in result.alerts))
     _write_jsonl(
@@ -197,13 +199,7 @@ def cmd_detect(args) -> int:
             "global_alert_steps": result.global_alert_steps,
         },
     )
-    _write_json(
-        out / "timings.json",
-        {
-            "mean_update_seconds": result.mean_update_seconds,
-            "total_seconds": result.total_seconds,
-        },
-    )
+    _write_timings(out, result)
     print(
         f"{result.steps} steps, accuracy {result.accuracy:.4f}, "
         f"{len(result.alerts)} alerts ({len(result.global_alert_steps)} global)"
@@ -214,8 +210,8 @@ def cmd_detect(args) -> int:
 def cmd_track_attributions(args) -> int:
     cfg = _merged_config(args)
     stream = _load_stream(args, cfg)
-    kwargs = _detector_kwargs(cfg)
-    kwargs.pop("model")  # tracking is defined for the linear model only
+    settings = detector_settings(cfg)
+    settings.pop("model")  # tracking is defined for the linear model only
     result = run_tracking(
         stream,
         sample_size=args.sample_size,
@@ -223,7 +219,7 @@ def cmd_track_attributions(args) -> int:
         policy=args.policy,
         oracle=not args.no_oracle,
         seed=cfg["seed"],
-        **kwargs,
+        **settings,
     )
     out = _out_dir(args)
     _write_csv(
@@ -247,13 +243,7 @@ def cmd_track_attributions(args) -> int:
             "deviation_pct_of_range": cell(result.deviation_pct_of_range),
         },
     )
-    _write_json(
-        out / "timings.json",
-        {
-            "mean_update_seconds": result.mean_update_seconds,
-            "total_seconds": result.total_seconds,
-        },
-    )
+    _write_timings(out, result)
     if result.reduction_pct is None:
         print("tracked 0 observations: summary reported as not-applicable")
     else:
@@ -274,7 +264,7 @@ def _build_detectors(names: str, cfg) -> dict:
         if not name:
             continue
         if name == "cdleeds":
-            detectors[name] = cdleeds_runner(**_detector_kwargs(cfg))
+            detectors[name] = cdleeds_runner(**detector_settings(cfg))
         elif name == "ddm":
             detectors[name] = ddm_runner(model=cfg["model"], learning_rate=cfg["learning_rate"])
         else:
@@ -286,15 +276,7 @@ def _build_detectors(names: str, cfg) -> dict:
 
 def cmd_bench(args) -> int:
     cfg = _merged_config(args)
-    label = cfg["label_column"] if cfg["label_column"] is not None else "label"
-    streams = {}
-    for path in args.stream:
-        csv_path = Path(path)
-        sidecar = _sidecar_path(csv_path)
-        if not sidecar.exists():
-            raise ValueError(f"stream {path} has no ground-truth sidecar {sidecar}")
-        positions = tuple(json.loads(sidecar.read_text())["positions"])
-        streams[str(path)] = read_csv(csv_path, label_column=label, drift_positions=positions)
+    streams = {str(path): _read_stream(path, cfg, require_sidecar=True) for path in args.stream}
     detectors = _build_detectors(args.detectors, cfg)
     rows = run_benchmark(
         streams,
@@ -329,21 +311,7 @@ def cmd_bench(args) -> int:
 
 def _merged_config(args) -> dict:
     file_values = load_config(args.config) if args.config else None
-    override_keys = (
-        "model",
-        "learning_rate",
-        "gamma",
-        "alpha",
-        "beta",
-        "window",
-        "max_age",
-        "max_depth",
-        "seed",
-        "warmup",
-        "interval_fractions",
-        "label_column",
-    )
-    overrides = {key: getattr(args, key, None) for key in override_keys}
+    overrides = {key: getattr(args, key, None) for key in DEFAULTS}
     return validate_config(merge_config(file_values, overrides))
 
 

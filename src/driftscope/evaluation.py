@@ -11,7 +11,7 @@ are aggregated across a set of interval sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -139,16 +139,6 @@ class DdmDetector:
 DetectorRunner = Callable[[StreamSource], tuple[list[int], float]]
 
 
-def fixed_alert_detector(alerts: Sequence[int]) -> DetectorRunner:
-    """Wrap a precomputed alert log (e.g. from another tool) as a runner."""
-    frozen = sorted(int(a) for a in alerts)
-
-    def run(stream: StreamSource) -> tuple[list[int], float]:
-        return list(frozen), 0.0
-
-    return run
-
-
 @dataclass(frozen=True)
 class BenchmarkRow:
     """Scores for one detector on one stream, aggregated over intervals."""
@@ -165,19 +155,7 @@ class BenchmarkRow:
     mean_update_seconds: float
 
     def to_dict(self) -> dict:
-        d = {
-            "stream": self.stream,
-            "detector": self.detector,
-            "recall_mean": self.recall_mean,
-            "recall_std": self.recall_std,
-            "fdr_mean": self.fdr_mean,
-            "fdr_std": self.fdr_std,
-            "combined_mean": self.combined_mean,
-            "combined_std": self.combined_std,
-            "delays": list(self.delays),
-            "mean_update_seconds": self.mean_update_seconds,
-        }
-        return d
+        return {**asdict(self), "delays": list(self.delays)}
 
 
 def score_alerts(

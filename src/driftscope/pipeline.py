@@ -1,8 +1,12 @@
 """Prequential runs wiring streams, models, baseline, and the tree.
 
-Every run follows test-then-train order: the model predicts each
-observation before training on its label, and the detector consumes
-that pre-update prediction. Feature vectors are scaled to the unit box
+Every run goes through one test-then-train engine, ``_prequential``.
+Step 0 only trains the model (and seeds the change detector's baseline),
+so every later step sees a model that has been trained at least once.
+From step 1 on the engine predicts each observation exactly once, hands
+that pre-update prediction to the run's own step (accuracy, the
+detector's diff, DDM's correctness indicator), and trains on the label
+only after the step is done. Feature vectors are scaled to the unit box
 first (declared generator ranges, or a min-max fit for buffered data)
 so that the tree's similarity threshold means the same thing on every
 stream.
@@ -11,19 +15,24 @@ stream.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import AttributionTracker, attribute_linear
+from .attribution import (
+    REASON_EVERY_STEP,
+    AttributionRecord,
+    AttributionTracker,
+    attribute_linear,
+    trace_rows,
+)
 from .baseline import EwmaBaseline
+from .config import MODEL_KINDS, DetectorConfig
 from .evaluation import DetectorRunner, DdmDetector, STATUS_DRIFT
 from .models import GaussianNaiveBayes, OnlineLogisticRegression, detector_input
 from .stream import StreamSource, scaled
 from .tree import SCOPE_GLOBAL, AdaptiveClusterTree, DriftAlert
 
-MODEL_KINDS = ("logreg", "gnb")
 TRACKING_POLICIES = ("cdleeds", "always", "never")
 
 
@@ -37,11 +46,53 @@ def build_model(kind: str, n_features: int, n_classes: int, learning_rate: float
     raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
-def _predicted_class(model, x) -> int:
-    out = model.predict(x)
-    if np.ndim(out) == 0:
-        return int(out >= 0.5)
-    return int(np.argmax(out))
+def _predicted_class(prediction) -> int:
+    if np.ndim(prediction) == 0:
+        return int(prediction >= 0.5)
+    return int(np.argmax(prediction))
+
+
+def _prequential(source: StreamSource, clf, baseline: EwmaBaseline | None = None):
+    """Test-then-train over a scaled stream.
+
+    Yields ``(item, prediction)`` for every step t >= 1, where
+    ``prediction`` is the model's one prediction of ``item.x`` before it
+    trains on ``item``; training happens when the consumer asks for the
+    next step. Step 0 only trains the model and seeds ``baseline``.
+    """
+    for item in source:
+        x = item.x
+        if item.t == 0:
+            if baseline is not None:
+                baseline.update(x)
+        else:
+            yield item, clf.predict(x)
+        clf.update(x, item.y)
+
+
+class _ChangeDetector:
+    """The monitored model, its EWMA baseline, and the cluster tree."""
+
+    def __init__(self, config: DetectorConfig, source: StreamSource):
+        self.clf = build_model(config.model, source.n_features, source.n_classes, config.learning_rate)
+        self.baseline = EwmaBaseline(config.beta)
+        self.tree = AdaptiveClusterTree(
+            source.n_features,
+            gamma=config.gamma,
+            alpha=config.alpha,
+            window=config.window,
+            max_age=config.max_age,
+            max_depth=config.max_depth,
+        )
+
+    def detect(self, x: np.ndarray, prediction, t: int) -> list[DriftAlert]:
+        """Local and global alerts of step t, given the model's prediction of x."""
+        self.baseline.update(x)
+        alerts = self.tree.update(x, detector_input(prediction, self.baseline.value(self.clf)), t)
+        global_alert = self.tree.test_global_change()
+        if global_alert is not None:
+            alerts.append(global_alert)
+        return alerts
 
 
 @dataclass(frozen=True)
@@ -60,60 +111,33 @@ class RunResult:
         return sorted({a.t for a in self.alerts if a.scope == SCOPE_GLOBAL})
 
 
-def run_detection(
-    stream: StreamSource,
-    model: str = "logreg",
-    learning_rate: float = 0.1,
-    gamma: float = 0.95,
-    alpha: float = 0.01,
-    beta: float = 0.001,
-    window: int = 200,
-    max_age: int = 100,
-    max_depth: int | None = 5,
-    collect_stats: bool = True,
-) -> RunResult:
+def run_detection(stream: StreamSource, collect_stats: bool = True, **settings) -> RunResult:
     """Run the change detector prequentially over a labeled stream.
 
-    The first observation only trains the model and seeds the baseline;
-    detection starts at step 1 so that the detector always sees a model
-    that has been trained at least once.
+    ``settings`` are ``DetectorConfig`` fields; the rest keep their
+    defaults. The first observation only trains the model and seeds the
+    baseline; detection starts at step 1 so that the detector always
+    sees a model that has been trained at least once.
     """
+    config = DetectorConfig(**settings)
     source = scaled(stream)
-    clf = build_model(model, source.n_features, source.n_classes, learning_rate)
-    baseline = EwmaBaseline(beta)
-    tree = AdaptiveClusterTree(
-        source.n_features,
-        gamma=gamma,
-        alpha=alpha,
-        window=window,
-        max_age=max_age,
-        max_depth=max_depth,
-    )
+    detector = _ChangeDetector(config, source)
+    tree = detector.tree
     alerts: list[DriftAlert] = []
     stats: list[tuple[int, int, int]] = []
     correct = 0
     steps = 0
     detector_seconds = 0.0
     started = time.perf_counter()
-    for item in source:
-        t, x, y = item.t, item.x, item.y
-        if t == 0:
-            baseline.update(x)
-            clf.update(x, y)
-            continue
-        correct += _predicted_class(clf, x) == y
+    for item, prediction in _prequential(source, detector.clf, detector.baseline):
+        t = item.t
+        correct += _predicted_class(prediction) == item.y
         steps += 1
         tick = time.perf_counter()
-        baseline.update(x)
-        diff = detector_input(clf.predict(x), baseline.value(clf))
-        alerts.extend(tree.update(x, diff, t))
-        global_alert = tree.test_global_change()
-        if global_alert is not None:
-            alerts.append(global_alert)
+        alerts.extend(detector.detect(item.x, prediction, t))
         detector_seconds += time.perf_counter() - tick
         if collect_stats:
             stats.append((t, tree.node_count, tree.leaf_count))
-        clf.update(x, y)
     total_seconds = time.perf_counter() - started
     return RunResult(
         alerts=tuple(alerts),
@@ -140,16 +164,6 @@ class TrackingResult:
     total_seconds: float
 
 
-@dataclass
-class _TrackedSlot:
-    obs_x: np.ndarray
-    start_t: int
-    stored_phi: np.ndarray
-    computes: int = 1
-    record: object = None
-    trace: list = field(default_factory=list)
-
-
 def run_tracking(
     stream: StreamSource,
     sample_size: int = 100,
@@ -157,13 +171,7 @@ def run_tracking(
     policy: str = "cdleeds",
     oracle: bool = True,
     seed: int = 0,
-    learning_rate: float = 0.1,
-    gamma: float = 0.95,
-    alpha: float = 0.01,
-    beta: float = 0.001,
-    window: int = 200,
-    max_age: int = 100,
-    max_depth: int | None = 5,
+    **settings,
 ) -> TrackingResult:
     """Track attributions for observations sampled from the stream prefix.
 
@@ -171,10 +179,15 @@ def run_tracking(
     replacement from steps 1..sample_prefix-1; step 0 only warms the
     model up) and their stored attributions are refreshed according to
     ``policy``: reuse until leaf change or local alert, recompute every
-    step, or never refresh. With ``oracle`` on, an always-recompute
-    shadow is maintained for every slot and the deviation of stored
-    from oracle attributions is accumulated streamingly.
+    step, or never refresh. With ``oracle`` on, the always-recompute
+    attribution of every tracked observation is computed each step and
+    the deviation of the stored attributions from it is accumulated
+    streamingly. ``settings`` are ``DetectorConfig`` fields; the model
+    must be the linear ``logreg``.
     """
+    config = DetectorConfig(**settings)
+    if config.model != "logreg":
+        raise ValueError(f"attribution tracking needs the linear model 'logreg', got {config.model!r}")
     if policy not in TRACKING_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {TRACKING_POLICIES}")
     if sample_size < 0:
@@ -187,22 +200,14 @@ def run_tracking(
     source = scaled(stream)
     if source.n_classes > 2:
         raise ValueError("attribution tracking needs a linear model, so a binary stream")
-    clf = OnlineLogisticRegression(source.n_features, learning_rate=learning_rate)
-    baseline = EwmaBaseline(beta)
-    tree = AdaptiveClusterTree(
-        source.n_features,
-        gamma=gamma,
-        alpha=alpha,
-        window=window,
-        max_age=max_age,
-        max_depth=max_depth,
-    )
-    tracker = AttributionTracker(clf, tree) if policy == "cdleeds" else None
+    detector = _ChangeDetector(config, source)
+    clf = detector.clf
+    tracker = AttributionTracker(clf, detector.tree) if policy == "cdleeds" else None
+    records: list[AttributionRecord] = tracker.records if tracker is not None else []
     rng = np.random.default_rng(seed)
     pin_steps = set()
     if sample_size:
         pin_steps = {int(v) + 1 for v in rng.choice(prefix_end - 1, size=sample_size, replace=False)}
-    slots: list[_TrackedSlot] = []
     dev_sum = 0.0
     dev_count = 0
     oracle_min = np.inf
@@ -210,71 +215,39 @@ def run_tracking(
     detector_seconds = 0.0
     steps = 0
     started = time.perf_counter()
-    for item in source:
-        t, x, y = item.t, item.x, item.y
-        if t == 0:
-            baseline.update(x)
-            clf.update(x, y)
-            continue
+    for item, prediction in _prequential(source, detector.clf, detector.baseline):
+        t, x = item.t, item.x
         steps += 1
         tick = time.perf_counter()
-        baseline.update(x)
-        diff = detector_input(clf.predict(x), baseline.value(clf))
-        alerts = tree.update(x, diff, t)
-        global_alert = tree.test_global_change()
-        if global_alert is not None:
-            alerts.append(global_alert)
-        base_vec = baseline.ewma
-        if tracker is not None and slots:
+        alerts = detector.detect(x, prediction, t)
+        base_vec = detector.baseline.ewma
+        if tracker is not None and records:
             tracker.step(alerts, base_vec, t)
-            for slot in slots:
-                slot.stored_phi = slot.record.current.phi
-                if slot.record.recompute_count > slot.computes:
-                    slot.computes = slot.record.recompute_count
-                    slot.trace.append((t, slot.record.log[-1][1], slot.record.current))
         elif policy == "always":
-            for slot in slots:
-                vec = attribute_linear(clf, slot.obs_x, base_vec, t)
-                slot.stored_phi = vec.phi
-                slot.computes += 1
-                slot.trace.append((t, "every-step", vec))
+            for record in records:
+                vec = attribute_linear(clf, record.obs.x, base_vec, t)
+                record.current = vec
+                record.log.append((t, REASON_EVERY_STEP))
+                record.history.append(vec)
         if t in pin_steps:
             if tracker is not None:
-                record = tracker.track(item.obs, base_vec, t)
-                slots.append(
-                    _TrackedSlot(
-                        obs_x=x,
-                        start_t=t,
-                        stored_phi=record.current.phi,
-                        record=record,
-                        trace=[(t, record.log[0][1], record.current)],
-                    )
-                )
+                tracker.track(item.obs, base_vec, t)
             else:
-                vec = attribute_linear(clf, x, base_vec, t)
-                slots.append(
-                    _TrackedSlot(
-                        obs_x=x,
-                        start_t=t,
-                        stored_phi=vec.phi,
-                        trace=[(t, "initial", vec)],
-                    )
-                )
+                records.append(AttributionRecord.start(item.obs, attribute_linear(clf, x, base_vec, t)))
         detector_seconds += time.perf_counter() - tick
-        if oracle and slots:
-            for slot in slots:
-                oracle_phi = clf.weights * (slot.obs_x - base_vec)
+        if oracle:
+            for record in records:
+                oracle_phi = clf.weights * (record.obs.x - base_vec)
                 lo = float(oracle_phi.min())
                 hi = float(oracle_phi.max())
                 oracle_min = lo if lo < oracle_min else oracle_min
                 oracle_max = hi if hi > oracle_max else oracle_max
-                dev_sum += float(np.abs(slot.stored_phi - oracle_phi).sum())
+                dev_sum += float(np.abs(record.current.phi - oracle_phi).sum())
                 dev_count += oracle_phi.size
-        clf.update(x, y)
     total_seconds = time.perf_counter() - started
     last_t = stream.length - 1
-    if slots:
-        reductions = [1.0 - slot.computes / (last_t - slot.start_t + 1) for slot in slots]
+    if records:
+        reductions = [1.0 - r.recompute_count / (last_t - r.start_t + 1) for r in records]
         reduction_pct = 100.0 * float(np.mean(reductions))
     else:
         reduction_pct = None
@@ -283,12 +256,6 @@ def run_tracking(
     deviation_pct_of_range = (
         100.0 * mean_abs_deviation / oracle_range if oracle_range else None
     )
-    trace = tuple(
-        (t, i, j, float(value), reason)
-        for i, slot in enumerate(slots)
-        for t, reason, vec in slot.trace
-        for j, value in enumerate(vec.phi)
-    )
     return TrackingResult(
         sample_size=sample_size,
         steps=steps,
@@ -296,37 +263,20 @@ def run_tracking(
         mean_abs_deviation=mean_abs_deviation,
         oracle_range=oracle_range,
         deviation_pct_of_range=deviation_pct_of_range,
-        trace=trace,
+        trace=tuple(trace_rows(records)),
         mean_update_seconds=detector_seconds / steps if steps else 0.0,
         total_seconds=total_seconds,
     )
 
 
-def cdleeds_runner(
-    model: str = "logreg",
-    learning_rate: float = 0.1,
-    gamma: float = 0.95,
-    alpha: float = 0.01,
-    beta: float = 0.001,
-    window: int = 200,
-    max_age: int = 100,
-    max_depth: int | None = 5,
-) -> DetectorRunner:
-    """Benchmark runner scoring the tree's global alerts."""
+def cdleeds_runner(**settings) -> DetectorRunner:
+    """Benchmark runner scoring the tree's global alerts.
+
+    ``settings`` are ``DetectorConfig`` fields, as for ``run_detection``.
+    """
 
     def run(stream: StreamSource) -> tuple[list[int], float]:
-        result = run_detection(
-            stream,
-            model=model,
-            learning_rate=learning_rate,
-            gamma=gamma,
-            alpha=alpha,
-            beta=beta,
-            window=window,
-            max_age=max_age,
-            max_depth=max_depth,
-            collect_stats=False,
-        )
+        result = run_detection(stream, collect_stats=False, **settings)
         return result.global_alert_steps, result.mean_update_seconds
 
     return run
@@ -342,18 +292,13 @@ def ddm_runner(model: str = "logreg", learning_rate: float = 0.1) -> DetectorRun
         alerts: list[int] = []
         detector_seconds = 0.0
         steps = 0
-        for item in source:
-            t, x, y = item.t, item.x, item.y
-            if t == 0:
-                clf.update(x, y)
-                continue
+        for item, prediction in _prequential(source, clf):
             steps += 1
-            is_correct = _predicted_class(clf, x) == y
+            is_correct = _predicted_class(prediction) == item.y
             tick = time.perf_counter()
             if ddm.update(is_correct) == STATUS_DRIFT:
-                alerts.append(t)
+                alerts.append(item.t)
             detector_seconds += time.perf_counter() - tick
-            clf.update(x, y)
         return alerts, detector_seconds / steps if steps else 0.0
 
     return run

@@ -10,6 +10,7 @@ so they can be scaled without a preliminary data pass.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -122,9 +123,9 @@ def read_csv(
     Numeric columns are parsed as floats. A column whose first value is
     non-numeric is treated as categorical and encoded by order of first
     appearance; the label column is always encoded that way, so labels
-    come out as 0..C-1. Ragged rows, missing fields, and non-numeric
-    values in a previously numeric column are rejected with the row and
-    column named.
+    come out as 0..C-1. Ragged rows, missing fields, non-numeric values
+    in a previously numeric column, and non-finite numbers (nan, inf)
+    are rejected with the row and column named.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -182,12 +183,15 @@ def read_csv(
                 raise CsvParseError(f"{path}: row {line}, column {header[j]!r} is empty")
             if is_numeric[j]:
                 try:
-                    features[r, k] = float(value)
+                    number = float(value)
                 except ValueError:
                     raise CsvParseError(
                         f"{path}: row {line}, column {header[j]!r}: non-numeric value {value!r} "
                         "in a numeric column"
                     ) from None
+                if not math.isfinite(number):
+                    raise CsvParseError(f"{path}: row {line}, column {header[j]!r}: non-finite value {value!r}")
+                features[r, k] = number
             else:
                 features[r, k] = categories[j].setdefault(value, len(categories[j]))
         value = row[label_idx].strip()

@@ -225,16 +225,6 @@ class AdaptiveClusterTree:
     def leaf_count(self) -> int:
         return sum(1 for _ in self.iter_leaves())
 
-    def stats(self) -> dict:
-        """Snapshot of tree shape for tracing and plotting."""
-        depth_hist: dict[int, int] = {}
-        leaves = 0
-        for node in self.iter_nodes():
-            depth_hist[node.depth] = depth_hist.get(node.depth, 0) + 1
-            if node.is_leaf:
-                leaves += 1
-        return {"node_count": self.node_count, "leaf_count": leaves, "depth_hist": depth_hist}
-
     def find_leaf(self, x: np.ndarray) -> ClusterNode:
         """Descend to the leaf whose centroid is most similar to x (ties go left)."""
         if self.root is None:
@@ -407,20 +397,3 @@ class AdaptiveClusterTree:
                 kind=KIND_CHANGE_TEST,
             )
         return None
-
-
-def naive_point_change(
-    pred_before: float,
-    baseline_before: float,
-    pred_after: float,
-    baseline_after: float,
-    tol: float = 1e-12,
-) -> bool:
-    """Pointwise change flag from two (prediction, baseline) snapshots.
-
-    Flags a change when the prediction-baseline gap moved by more than
-    ``tol`` between the two snapshots. This is the blunt per-point rule
-    the windowed tree test replaces; it reacts to any model movement and
-    carries no significance control.
-    """
-    return abs((pred_before - baseline_before) - (pred_after - baseline_after)) > tol

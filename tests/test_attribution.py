@@ -11,7 +11,6 @@ from driftscope.attribution import (
     AttributionTracker,
     AttributionVector,
     attribute_linear,
-    recompute_metrics,
     trace_rows,
     verify_local_accuracy,
 )
@@ -242,46 +241,6 @@ def _record(phis, times):
         log=list(zip(times, reasons)),
         history=history,
     )
-
-
-class TestRecomputeMetrics:
-    def test_every_step_policy_scores_zero_reduction(self):
-        n = 20
-        phis = [[float(k), -float(k)] for k in range(n)]
-        record = _record(phis, list(range(n)))
-        oracle = np.asarray(phis, dtype=float)
-        reduction, deviation = recompute_metrics([record], [oracle])
-        assert reduction == 0.0
-        assert deviation == 0.0
-
-    def test_never_recompute_on_frozen_model(self):
-        n = 200
-        record = _record([[1.0, 2.0]], [0])
-        oracle = np.tile([1.0, 2.0], (n, 1))
-        reduction, deviation = recompute_metrics([record], [oracle])
-        assert reduction == pytest.approx(100.0 * (1 - 1 / n))
-        assert deviation == 0.0
-
-    def test_deviation_averages_stored_minus_oracle(self):
-        # stored stays [1, 1] for 4 steps; oracle drifts away linearly
-        record = _record([[1.0, 1.0]], [0])
-        oracle = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
-        _, deviation = recompute_metrics([record], [oracle])
-        assert deviation == pytest.approx((0 + 1 + 2 + 3) / 8)
-
-    def test_stored_at_is_piecewise_constant(self):
-        record = _record([[0.0], [5.0]], [10, 13])
-        assert record.stored_at(10).phi[0] == 0.0
-        assert record.stored_at(12).phi[0] == 0.0
-        assert record.stored_at(13).phi[0] == 5.0
-        assert record.stored_at(99).phi[0] == 5.0
-        with pytest.raises(ValueError, match="tracked from"):
-            record.stored_at(9)
-
-    def test_rejects_record_trajectory_mismatch(self):
-        record = _record([[1.0]], [0])
-        with pytest.raises(ValueError, match="oracle trajectories"):
-            recompute_metrics([record], [])
 
 
 class TestTraceRows:

@@ -15,7 +15,6 @@ from driftscope.evaluation import (
     combined_score,
     compute_delay,
     compute_recall_fdr,
-    fixed_alert_detector,
     run_benchmark,
     score_alerts,
 )
@@ -238,8 +237,8 @@ class TestRunBenchmark:
         rows = run_benchmark(
             {"toy": stream},
             {
-                "perfect": fixed_alert_detector([1200, 1600]),
-                "silent": fixed_alert_detector([]),
+                "perfect": lambda stream: ([1200, 1600], 0.0),
+                "silent": lambda stream: ([], 0.0),
             },
             warmup=1000,
         )
@@ -256,25 +255,25 @@ class TestRunBenchmark:
     def test_rejects_stream_without_schedule(self):
         stream = _stream(positions=())
         with pytest.raises(ValueError, match="ground-truth"):
-            run_benchmark({"bad": stream}, {"silent": fixed_alert_detector([])})
+            run_benchmark({"bad": stream}, {"silent": lambda stream: ([], 0.0)})
 
     def test_rejects_empty_interval_set(self):
         with pytest.raises(ValueError, match="interval"):
-            run_benchmark({"toy": _stream()}, {"silent": fixed_alert_detector([])}, intervals=())
+            run_benchmark({"toy": _stream()}, {"silent": lambda stream: ([], 0.0)}, intervals=())
 
     def test_default_interval_set(self):
         assert DEFAULT_INTERVALS == (0.01, 0.025, 0.05, 0.075, 0.1)
 
     def test_deterministic_rows(self):
         stream = _stream()
-        detectors = {"fixed": fixed_alert_detector([1205, 1900])}
+        detectors = {"fixed": lambda stream: ([1205, 1900], 0.0)}
         a = run_benchmark({"toy": stream}, detectors, warmup=1000)
         b = run_benchmark({"toy": stream}, detectors, warmup=1000)
         assert a == b
 
     def test_row_roundtrips_to_dict(self):
         row = run_benchmark(
-            {"toy": _stream()}, {"fixed": fixed_alert_detector([1210])}, warmup=1000
+            {"toy": _stream()}, {"fixed": lambda stream: ([1210], 0.0)}, warmup=1000
         )[0]
         d = row.to_dict()
         assert d["stream"] == "toy"

@@ -146,6 +146,20 @@ class TestRunDetection:
         result = run_detection(stream, collect_stats=False)
         assert result.steps == 599
 
+    def test_model_predicts_each_observation_once(self, monkeypatch):
+        calls = []
+        predict = GaussianNaiveBayes.predict
+        monkeypatch.setattr(
+            GaussianNaiveBayes, "predict", lambda model, x: calls.append(1) or predict(model, x)
+        )
+        result = run_detection(_sea(300, seed=6), model="gnb", collect_stats=False)
+        # one prediction of the observation, one of the baseline input
+        assert len(calls) == 2 * result.steps
+
+    def test_invalid_setting_names_field(self):
+        with pytest.raises(ValueError, match="'window'"):
+            run_detection(_sea(300), window=5)
+
     def test_timing_fields_populated(self):
         result = run_detection(_sea(400, seed=8), collect_stats=False)
         assert result.mean_update_seconds > 0.0
@@ -190,6 +204,37 @@ class TestRunTracking:
         # never refreshed, so the reduction is 1 - 1/steps per slot
         assert result.reduction_pct > 99.0
         assert result.mean_abs_deviation > 0.0
+
+    def test_never_policy_scores_match_manual_replay(self):
+        stream = _sea(600, seed=4)
+        result = run_tracking(stream, sample_size=5, sample_prefix=200, policy="never", seed=2)
+        pins = {t: slot for t, slot, _, _, reason in result.trace if reason == "initial"}
+        assert len(pins) == 5
+        # replay logistic regression and the EWMA baseline (beta = 0.001) by hand
+        clf = OnlineLogisticRegression(stream.n_features, learning_rate=0.1)
+        ewma = None
+        stored = []
+        deviations = []
+        oracle_values = []
+        for item in scaled(stream):
+            x = item.x
+            ewma = x.copy() if ewma is None else 0.001 * x + 0.999 * ewma
+            if item.t in pins:
+                stored.append((x, clf.weights * (x - ewma)))
+            for obs_x, phi in stored:
+                oracle = clf.weights * (obs_x - ewma)
+                deviations.extend(np.abs(phi - oracle))
+                oracle_values.extend(oracle)
+            clf.update(x, item.y)
+        last_t = stream.length - 1
+        reductions = [1.0 - 1.0 / (last_t - t + 1) for t in sorted(pins)]
+        assert result.reduction_pct == pytest.approx(100.0 * np.mean(reductions))
+        assert result.mean_abs_deviation == pytest.approx(np.mean(deviations))
+        assert result.oracle_range == pytest.approx(np.ptp(oracle_values))
+
+    def test_non_linear_model_rejected(self):
+        with pytest.raises(ValueError, match="logreg"):
+            run_tracking(_sea(300), model="gnb")
 
     def test_lazy_policy_tracks_oracle_closer_than_never(self):
         stream = permute_inject(

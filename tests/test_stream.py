@@ -56,6 +56,12 @@ class TestReadCsv:
         with pytest.raises(CsvParseError, match="row 3.*'a'"):
             read_csv(p, label_column="b")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_with_row_and_column(self, tmp_path, value):
+        p = _write(tmp_path, f"x1,x2,y\n1.0,2.0,0\n3.0,{value},1\n")
+        with pytest.raises(CsvParseError, match=f"row 3, column 'x2': non-finite value '{value}'"):
+            read_csv(p, label_column="y")
+
     def test_missing_field_rejected(self, tmp_path):
         p = _write(tmp_path, "a,b\n1.5,0\n,1\n")
         with pytest.raises(CsvParseError, match="empty"):

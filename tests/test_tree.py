@@ -12,7 +12,6 @@ from driftscope.tree import (
     SCOPE_GLOBAL,
     SCOPE_LOCAL,
     AdaptiveClusterTree,
-    naive_point_change,
 )
 
 
@@ -456,18 +455,3 @@ class TestConfigValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             AdaptiveClusterTree(**base)
-
-
-class TestNaivePointChange:
-    def test_flags_changed_gap(self):
-        assert naive_point_change(0.9, 0.6, 0.7, 0.6)
-
-    def test_unchanged_gap_not_flagged(self):
-        assert not naive_point_change(0.9, 0.6, 0.9, 0.6)
-
-    def test_parallel_shift_of_prediction_and_baseline_cancels(self):
-        assert not naive_point_change(0.9, 0.6, 0.8, 0.5)
-
-    def test_tolerance_respected(self):
-        assert not naive_point_change(0.5, 0.0, 0.5 + 1e-13, 0.0)
-        assert naive_point_change(0.5, 0.0, 0.6, 0.0, tol=0.05)
