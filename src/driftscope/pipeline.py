@@ -215,7 +215,7 @@ def run_tracking(
     detector_seconds = 0.0
     steps = 0
     started = time.perf_counter()
-    for item, prediction in _prequential(source, detector.clf, detector.baseline):
+    for item, prediction in _prequential(source, clf, detector.baseline):
         t, x = item.t, item.x
         steps += 1
         tick = time.perf_counter()

@@ -208,7 +208,7 @@ class TestRunTracking:
     def test_never_policy_scores_match_manual_replay(self):
         stream = _sea(600, seed=4)
         result = run_tracking(stream, sample_size=5, sample_prefix=200, policy="never", seed=2)
-        pins = {t: slot for t, slot, _, _, reason in result.trace if reason == "initial"}
+        pins = {t for t, _, _, _, reason in result.trace if reason == "initial"}
         assert len(pins) == 5
         # replay logistic regression and the EWMA baseline (beta = 0.001) by hand
         clf = OnlineLogisticRegression(stream.n_features, learning_rate=0.1)
