@@ -15,7 +15,8 @@ from driftscope.attribution import (
     verify_local_accuracy,
 )
 from driftscope.models import GaussianNaiveBayes, OnlineLogisticRegression
-from driftscope.stream import Observation
+from driftscope.pipeline import run_tracking
+from driftscope.stream import BufferedStream, Observation
 from driftscope.tree import AdaptiveClusterTree, DriftAlert, SCOPE_LOCAL, KIND_CHANGE_TEST
 
 
@@ -241,6 +242,65 @@ def _record(phis, times):
         log=list(zip(times, reasons)),
         history=history,
     )
+
+
+def _tiny_stream(rows):
+    features = np.asarray(rows, dtype=float)
+    labels = np.arange(len(rows), dtype=np.int64) % 2
+    return BufferedStream(
+        features=features,
+        labels=labels,
+        feature_ranges=((0.0, 1.0),) * features.shape[1],
+    )
+
+
+class TestRecomputeMetrics:
+    """The reduction and deviation scores of ``run_tracking``'s streaming oracle."""
+
+    def test_every_step_policy_scores_zero_reduction(self):
+        stream = _tiny_stream(np.random.default_rng(5).random((20, 2)))
+        result = run_tracking(stream, sample_size=3, sample_prefix=10, policy="always", seed=1)
+        # every tracked observation is recomputed at each step from its pin on
+        pins = {t for t, _, _, _, reason in result.trace if reason == REASON_INITIAL}
+        assert len(pins) == 3
+        assert len(result.trace) == 2 * sum(stream.length - t for t in pins)
+        assert result.reduction_pct == 0.0
+        assert result.mean_abs_deviation == 0.0
+
+    def test_never_recompute_on_frozen_model(self):
+        n = 200
+        stream = _tiny_stream(np.random.default_rng(6).random((n, 2)))
+        # learning_rate 0 freezes the model, beta 0 freezes the baseline
+        result = run_tracking(
+            stream, sample_size=4, sample_prefix=50, policy="never", seed=3,
+            learning_rate=0.0, beta=0.0,
+        )
+        pins = sorted(t for t, _, j, _, _ in result.trace if j == 0)
+        assert len(pins) == 4
+        expected = np.mean([1.0 - 1.0 / (n - t) for t in pins])
+        assert result.reduction_pct == pytest.approx(100.0 * expected)
+        assert result.mean_abs_deviation == 0.0
+
+    def test_deviation_averages_stored_minus_oracle(self):
+        rows = [[0.5, 0.5], [0.9, 0.1], [0.2, 0.8], [0.7, 0.6], [0.1, 0.3], [0.4, 0.9]]
+        # one tracked slot, pinned at step 1; beta 0 holds the baseline at step 0's x
+        result = run_tracking(
+            _tiny_stream(rows), sample_size=1, sample_prefix=2, policy="never", beta=0.0
+        )
+        assert [row[0] for row in result.trace] == [1, 1]
+        stored = np.array([row[3] for row in result.trace])
+        x0, x1 = np.asarray(rows[0]), np.asarray(rows[1])
+        clf = OnlineLogisticRegression(2, learning_rate=0.1)
+        clf.update(x0, 0)
+        assert stored == pytest.approx(clf.weights * (x1 - x0))
+        deviations = []
+        for t in range(1, len(rows)):
+            deviations.extend(np.abs(stored - clf.weights * (x1 - x0)))
+            clf.update(np.asarray(rows[t]), t % 2)
+        # the stored value is exact at its pin step and drifts away after it
+        assert deviations[:2] == [0.0, 0.0]
+        assert result.mean_abs_deviation == pytest.approx(np.mean(deviations))
+        assert result.mean_abs_deviation > 0.0
 
 
 class TestTraceRows:
