@@ -211,7 +211,7 @@ def cmd_track_attributions(args) -> int:
     cfg = _merged_config(args)
     stream = _load_stream(args, cfg)
     settings = detector_settings(cfg)
-    settings.pop("model")  # tracking is defined for the linear model only
+    settings.pop("model")  # a config file shared with detect may name another model
     result = run_tracking(
         stream,
         sample_size=args.sample_size,
@@ -321,8 +321,9 @@ def _add_common_flags(parser):
     parser.add_argument("--out", required=True, help="output directory")
 
 
-def _add_detector_flags(parser):
-    parser.add_argument("--model", choices=MODEL_KINDS, help="online model kind")
+def _add_detector_flags(parser, with_model: bool = True):
+    if with_model:  # tracking is defined for the linear model only
+        parser.add_argument("--model", choices=MODEL_KINDS, help="online model kind")
     parser.add_argument("--learning-rate", dest="learning_rate", type=float, help="model learning rate")
     parser.add_argument("--gamma", type=float, help="cluster similarity threshold")
     parser.add_argument("--alpha", type=float, help="test significance level")
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track-attributions", help="maintain attributions for sampled observations")
     _add_input_flags(p)
     _add_generator_flags(p, kind_required=False)
-    _add_detector_flags(p)
+    _add_detector_flags(p, with_model=False)
     p.add_argument("--sample-size", dest="sample_size", type=int, default=100, help="observations to track")
     p.add_argument("--sample-prefix", dest="sample_prefix", type=int, default=1000, help="prefix to sample from")
     p.add_argument("--policy", choices=TRACKING_POLICIES, default="cdleeds", help="recompute policy")

@@ -13,6 +13,8 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .evaluation import DEFAULT_INTERVALS, DEFAULT_WARMUP
+
 MODEL_KINDS = ("logreg", "gnb")
 
 
@@ -27,8 +29,21 @@ class DetectorConfig:
 
     ``model`` and ``learning_rate`` pick the online classifier, ``beta``
     the baseline's smoothing rate, and the rest configure the cluster
-    tree (see ``AdaptiveClusterTree``). Every bad value raises a
-    ``ValueError`` naming its field.
+    tree (``AdaptiveClusterTree``):
+
+    - ``gamma``: RBF similarity threshold in (0, 1); a leaf splits when
+      any window observation falls below it relative to the centroid.
+    - ``alpha``: significance level of the per-leaf two-sample test and
+      base level of the global Fisher test.
+    - ``window``: window capacity w per node; even and >= 4 so the test
+      halves are balanced.
+    - ``max_age``: a branch whose least-recently-updated child lags the
+      parent by at least this many updates is pruned.
+    - ``max_depth``: depth cap; leaves at the cap absorb dissimilar
+      points instead of splitting. ``None`` removes the cap, 0 forces a
+      single leaf.
+
+    Every bad value raises a ``ValueError`` naming its field.
     """
 
     model: str = "logreg"
@@ -75,8 +90,8 @@ def detector_settings(cfg: dict) -> dict:
 DEFAULTS = {
     **asdict(DetectorConfig()),
     "seed": 0,
-    "warmup": 1000,
-    "interval_fractions": [0.01, 0.025, 0.05, 0.075, 0.1],
+    "warmup": DEFAULT_WARMUP,
+    "interval_fractions": list(DEFAULT_INTERVALS),
     "label_column": None,
 }
 
@@ -91,7 +106,7 @@ def parse_value(raw: str):
 
 
 def load_config(path: str | Path) -> dict:
-    """Read a flat key=value file into a dict of parsed values."""
+    """Read a flat key=value file of ``DEFAULTS`` keys into a dict of parsed values."""
     result = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -103,6 +118,8 @@ def load_config(path: str | Path) -> dict:
         key = key.strip()
         if not key:
             raise ValueError(f"{path}:{lineno}: empty key")
+        if key not in DEFAULTS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; expected one of {sorted(DEFAULTS)}")
         result[key] = parse_value(raw)
     return result
 

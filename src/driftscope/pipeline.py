@@ -36,7 +36,7 @@ from .tree import SCOPE_GLOBAL, AdaptiveClusterTree, DriftAlert
 TRACKING_POLICIES = ("cdleeds", "always", "never")
 
 
-def build_model(kind: str, n_features: int, n_classes: int, learning_rate: float = 0.1):
+def build_model(kind: str, n_features: int, n_classes: int, learning_rate: float = DetectorConfig.learning_rate):
     if kind == "logreg":
         if n_classes > 2:
             raise ValueError(f"logreg handles binary streams only, got {n_classes} classes")
@@ -76,14 +76,7 @@ class _ChangeDetector:
     def __init__(self, config: DetectorConfig, source: StreamSource):
         self.clf = build_model(config.model, source.n_features, source.n_classes, config.learning_rate)
         self.baseline = EwmaBaseline(config.beta)
-        self.tree = AdaptiveClusterTree(
-            source.n_features,
-            gamma=config.gamma,
-            alpha=config.alpha,
-            window=config.window,
-            max_age=config.max_age,
-            max_depth=config.max_depth,
-        )
+        self.tree = AdaptiveClusterTree(source.n_features, config)
 
     def detect(self, x: np.ndarray, prediction, t: int) -> list[DriftAlert]:
         """Local and global alerts of step t, given the model's prediction of x."""
@@ -198,8 +191,6 @@ def run_tracking(
             f"sample_size {sample_size} does not fit the stream prefix [1, {prefix_end})"
         )
     source = scaled(stream)
-    if source.n_classes > 2:
-        raise ValueError("attribution tracking needs a linear model, so a binary stream")
     detector = _ChangeDetector(config, source)
     clf = detector.clf
     tracker = AttributionTracker(clf, detector.tree) if policy == "cdleeds" else None
@@ -282,7 +273,9 @@ def cdleeds_runner(**settings) -> DetectorRunner:
     return run
 
 
-def ddm_runner(model: str = "logreg", learning_rate: float = 0.1) -> DetectorRunner:
+def ddm_runner(
+    model: str = DetectorConfig.model, learning_rate: float = DetectorConfig.learning_rate
+) -> DetectorRunner:
     """Benchmark runner for the error-rate baseline detector."""
 
     def run(stream: StreamSource) -> tuple[list[int], float]:

@@ -17,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .config import DetectorConfig
 from .numerics import corrected_alpha, fisher_combine, t_test_unpaired
 
 SCOPE_LOCAL = "local"
@@ -136,53 +137,21 @@ class ClusterNode:
 class AdaptiveClusterTree:
     """Streaming change detector over an adaptive cluster hierarchy.
 
-    Parameters
-    ----------
-    n_features:
-        Input dimensionality; inputs are expected scaled to [0, 1].
-    gamma:
-        RBF similarity threshold in (0, 1); a leaf splits when any
-        window observation falls below it relative to the centroid.
-    alpha:
-        Significance level of the per-leaf two-sample test.
-    window:
-        Window capacity w per node; must be even and >= 4 so the test
-        halves are balanced.
-    max_age:
-        A branch whose least-recently-updated child lags the parent by
-        at least this many updates is pruned.
-    max_depth:
-        Depth cap; leaves at the cap absorb dissimilar points instead of
-        splitting. ``None`` removes the cap, 0 forces a single leaf.
+    ``n_features`` is the input dimensionality (inputs are expected
+    scaled to [0, 1]); ``config`` supplies ``gamma``, ``alpha``,
+    ``window``, ``max_age`` and ``max_depth``, documented and checked by
+    ``DetectorConfig``.
     """
 
-    def __init__(
-        self,
-        n_features: int,
-        gamma: float = 0.95,
-        alpha: float = 0.01,
-        window: int = 200,
-        max_age: int = 100,
-        max_depth: int | None = 5,
-    ):
+    def __init__(self, n_features: int, config: DetectorConfig = DetectorConfig()):
         if n_features < 1:
             raise ValueError(f"n_features must be >= 1, got {n_features}")
-        if not 0.0 < gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if window < 4 or window % 2 != 0:
-            raise ValueError(f"window must be an even integer >= 4, got {window}")
-        if max_age < 1:
-            raise ValueError(f"max_age must be >= 1, got {max_age}")
-        if max_depth is not None and max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0 or None, got {max_depth}")
         self.n_features = n_features
-        self.gamma = gamma
-        self.alpha = alpha
-        self.window = window
-        self.max_age = max_age
-        self.max_depth = max_depth
+        self.gamma = config.gamma
+        self.alpha = config.alpha
+        self.window = config.window
+        self.max_age = config.max_age
+        self.max_depth = config.max_depth
         self.root: ClusterNode | None = None
         self.node_count = 0
         self.local_tests_run = 0
@@ -193,7 +162,7 @@ class AdaptiveClusterTree:
         self._last_t: int | None = None
         self._suppress_until = -(10**18)
         # sim(x, c) < gamma is equivalent to ||x - c||^2 > -m * ln(gamma)
-        self._dist2_threshold = -n_features * math.log(gamma)
+        self._dist2_threshold = -n_features * math.log(self.gamma)
 
     # ------------------------------------------------------------------
     # structure
@@ -223,7 +192,8 @@ class AdaptiveClusterTree:
 
     @property
     def leaf_count(self) -> int:
-        return sum(1 for _ in self.iter_leaves())
+        # splits add two children, prunes drop whole subtrees: the tree stays full binary
+        return (self.node_count + 1) // 2
 
     def find_leaf(self, x: np.ndarray) -> ClusterNode:
         """Descend to the leaf whose centroid is most similar to x (ties go left)."""
@@ -361,7 +331,7 @@ class AdaptiveClusterTree:
             )
         return None
 
-    def test_global_change(self, alpha: float | None = None) -> DriftAlert | None:
+    def test_global_change(self) -> DriftAlert | None:
         """Fisher-combine the latest leaf p-values into one global test.
 
         Every leaf with a full observation window and a completed local
@@ -376,8 +346,6 @@ class AdaptiveClusterTree:
             return None
         if self._last_t <= self._suppress_until:
             return None
-        if alpha is None:
-            alpha = self.alpha
         ps = [
             leaf.last_p
             for leaf in self.iter_leaves()
@@ -387,7 +355,7 @@ class AdaptiveClusterTree:
             return None
         self.global_tests_run += 1
         result = fisher_combine(ps)
-        if result.p_value < corrected_alpha(alpha, len(ps)):
+        if result.p_value < corrected_alpha(self.alpha, len(ps)):
             self.global_alerts_raised += 1
             self._suppress_until = self._last_t + self.window
             return DriftAlert(

@@ -15,6 +15,7 @@ import pytest
 
 from driftscope.attribution import attribute_linear
 from driftscope.cli import main as cli_main
+from driftscope.config import DetectorConfig
 from driftscope.evaluation import score_alerts, run_benchmark
 from driftscope.generators import AgrawalStream, DriftSchedule, SeaStream
 from driftscope.injection import permute_inject
@@ -138,7 +139,7 @@ class TestAcceptance:
         # one-sided. Global alerts cannot be exactly zero here (the
         # pool re-tests every step); they must stay rare.
         rng = np.random.default_rng(1)
-        tree = AdaptiveClusterTree(n_features=3, window=200, max_age=100, max_depth=5)
+        tree = AdaptiveClusterTree(3, DetectorConfig(window=200, max_age=100, max_depth=5))
         global_alerts = 0
         for t in range(100_000):
             tree.update(rng.uniform(0, 1, size=3), float(rng.normal()), t)
@@ -179,7 +180,7 @@ class TestAcceptance:
         started = time.perf_counter()
         rng = np.random.default_rng(404)
         window, max_depth = 20, 4
-        tree = AdaptiveClusterTree(n_features=2, window=window, max_age=200, max_depth=max_depth)
+        tree = AdaptiveClusterTree(2, DetectorConfig(window=window, max_age=200, max_depth=max_depth))
         threshold = -2.0 * math.log(0.95)
         prev_count = 0
         for t in range(10_000):
@@ -190,13 +191,17 @@ class TestAcceptance:
                 before = before[1:]  # a full window evicts its oldest entry first
             tree.update(x, float(rng.normal()), t)
 
-            # (a) every node has zero or two children
+            # (a) every node has zero or two children, so the leaf
+            # count follows from the node count
             entries = 0
             n_nodes = 0
+            n_leaves = 0
             for node in tree.iter_nodes():
                 n_nodes += 1
+                n_leaves += node.is_leaf
                 entries += node.size
                 assert (node.left is None) == (node.right is None)
+            assert tree.leaf_count == n_leaves
             # (b) stored windows bounded by node_count * w
             assert entries <= tree.node_count * window
             assert n_nodes == tree.node_count
@@ -245,7 +250,7 @@ class TestAcceptance:
         started = time.perf_counter()
         rng = np.random.default_rng(505)
         max_age = 100
-        tree = AdaptiveClusterTree(n_features=2, window=200, max_age=max_age, max_depth=5)
+        tree = AdaptiveClusterTree(2, DetectorConfig(window=200, max_age=max_age, max_depth=5))
         centers = (np.array([0.15, 0.15]), np.array([0.85, 0.85]))
         for t in range(2000):
             x = np.clip(centers[t % 2] + rng.normal(0, 0.03, size=2), 0, 1)

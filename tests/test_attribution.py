@@ -14,6 +14,7 @@ from driftscope.attribution import (
     trace_rows,
     verify_local_accuracy,
 )
+from driftscope.config import DetectorConfig
 from driftscope.models import GaussianNaiveBayes, OnlineLogisticRegression
 from driftscope.pipeline import run_tracking
 from driftscope.stream import BufferedStream, Observation
@@ -113,7 +114,7 @@ class TestVerifyLocalAccuracy:
 
 
 def _tracker(n_features=1, window=8):
-    tree = AdaptiveClusterTree(n_features=n_features, window=window)
+    tree = AdaptiveClusterTree(n_features, DetectorConfig(window=window))
     model = OnlineLogisticRegression(n_features=n_features)
     model.weights = np.full(n_features, 0.8)
     model.bias = -0.1
@@ -122,7 +123,7 @@ def _tracker(n_features=1, window=8):
 
 class TestAttributionTracker:
     def test_rejects_nonlinear_model(self):
-        tree = AdaptiveClusterTree(n_features=2, window=8)
+        tree = AdaptiveClusterTree(2, DetectorConfig(window=8))
         with pytest.raises(TypeError, match="linear model"):
             AttributionTracker(GaussianNaiveBayes(n_features=2, n_classes=2), tree)
 

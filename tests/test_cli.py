@@ -4,12 +4,20 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from driftscope.cli import main
-from driftscope.config import DEFAULTS, load_config, merge_config, parse_value, validate_config
+from driftscope.cli import build_parser, main
+from driftscope.config import (
+    DEFAULTS,
+    DetectorConfig,
+    load_config,
+    merge_config,
+    parse_value,
+    validate_config,
+)
 from driftscope.stream import read_csv
 
 
@@ -75,6 +83,12 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="empty key"):
             load_config(cfg_file)
 
+    def test_unknown_key_rejected(self, tmp_path):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("gamma = 0.9\nwindw = 4\nalhpa = 0.5\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg:2: unknown key 'windw'"):
+            load_config(cfg_file)
+
 
 class TestMergeAndValidate:
     def test_defaults_pass_validation(self):
@@ -125,6 +139,44 @@ class TestMergeAndValidate:
         cfg = merge_config()
         cfg["max_depth"] = None
         validate_config(cfg)
+
+
+# One non-default value per DetectorConfig field, as typed on the command line.
+_FLAG_VALUES = {
+    "model": ("gnb", "gnb"),
+    "learning_rate": ("0.5", 0.5),
+    "gamma": ("0.9", 0.9),
+    "alpha": ("0.05", 0.05),
+    "beta": ("0.01", 0.01),
+    "window": ("50", 50),
+    "max_age": ("20", 20),
+    "max_depth": ("3", 3),
+}
+
+
+class TestDetectorFlags:
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("detect", []),
+            ("bench", ["--stream", "s.csv"]),
+            ("track-attributions", []),
+        ],
+    )
+    def test_every_field_has_a_flag(self, command, extra):
+        names = [f.name for f in fields(DetectorConfig)]
+        if command == "track-attributions":
+            names.remove("model")
+        argv = [command, *extra, "--out", "x"]
+        for name in names:
+            argv += [f"--{name.replace('_', '-')}", _FLAG_VALUES[name][0]]
+        args = build_parser().parse_args(argv)
+        for name in names:
+            assert getattr(args, name) == _FLAG_VALUES[name][1]
+
+    def test_tracking_has_no_model_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["track-attributions", "--model", "gnb", "--out", "x"])
 
 
 class TestGenerate:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from driftscope.config import DetectorConfig
 from driftscope.numerics import rbf_similarity
 from driftscope.tree import (
     KIND_CHANGE_TEST,
@@ -16,9 +17,8 @@ from driftscope.tree import (
 
 
 def _tree(m=1, gamma=0.95, alpha=0.01, window=8, max_age=1000, max_depth=5):
-    return AdaptiveClusterTree(
-        n_features=m, gamma=gamma, alpha=alpha, window=window, max_age=max_age, max_depth=max_depth
-    )
+    config = DetectorConfig(gamma=gamma, alpha=alpha, window=window, max_age=max_age, max_depth=max_depth)
+    return AdaptiveClusterTree(m, config)
 
 
 def _feed(tree, xs, diffs=None, t0=0):
@@ -278,7 +278,7 @@ class TestGlobalChange:
         assert _tree().test_global_change() is None
 
     def _four_leaf_tree(self):
-        tree = AdaptiveClusterTree(n_features=2, window=8, max_age=10**6, max_depth=5)
+        tree = AdaptiveClusterTree(2, DetectorConfig(window=8, max_age=10**6, max_depth=5))
         corners = [(0.1, 0.1), (0.1, 0.9), (0.9, 0.1), (0.9, 0.9)]
         t = 0
         for _ in range(16):
@@ -347,7 +347,7 @@ class TestGlobalChange:
 class TestInvariants:
     def test_structure_and_memory_bounds_under_fuzz(self):
         rng = np.random.default_rng(2024)
-        tree = AdaptiveClusterTree(n_features=2, window=10, max_age=50, max_depth=4)
+        tree = AdaptiveClusterTree(2, DetectorConfig(window=10, max_age=50, max_depth=4))
         thr = -2.0 * math.log(0.95)
         prev_count = 0
         for t in range(2000):
@@ -384,7 +384,7 @@ class TestInvariants:
 
     def test_split_conserves_window_multiset(self):
         rng = np.random.default_rng(99)
-        tree = AdaptiveClusterTree(n_features=2, window=6, max_age=10**9, max_depth=6)
+        tree = AdaptiveClusterTree(2, DetectorConfig(window=6, max_age=10**9, max_depth=6))
         splits_seen = 0
         for t in range(1500):
             x = rng.uniform(0, 1, size=2)
@@ -419,7 +419,7 @@ class TestInvariants:
     def test_identical_streams_build_identical_trees(self):
         def build():
             rng = np.random.default_rng(7)
-            tree = AdaptiveClusterTree(n_features=2, window=8, max_age=40, max_depth=4)
+            tree = AdaptiveClusterTree(2, DetectorConfig(window=8, max_age=40, max_depth=4))
             alerts = []
             for t in range(800):
                 x = rng.uniform(0, 1, size=2)
@@ -451,7 +451,7 @@ class TestConfigValidation:
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
-        base = dict(n_features=2, gamma=0.95, alpha=0.01, window=8, max_age=10, max_depth=5)
+        base = dict(gamma=0.95, alpha=0.01, window=8, max_age=10, max_depth=5)
         base.update(kwargs)
-        with pytest.raises(ValueError):
-            AdaptiveClusterTree(**base)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            AdaptiveClusterTree(2, DetectorConfig(**base))
