@@ -7,9 +7,10 @@ phi0 = w . baseline + bias. The parts always add back up to the margin
 exactly (local accuracy), which is what makes staleness detectable: if
 the margin moved, some part moved.
 
-The tracker keeps attributions for a set of pinned observations and
-recomputes one only when the cluster tree reassigns its observation to
-a different leaf or raises a local change alert at its leaf. Everything
+The tracker keeps attributions for a set of pinned feature vectors and
+flags one as stale only when the cluster tree reassigns its vector to a
+different leaf or raises a local change alert at its leaf. The caller
+recomputes the flagged ones with whatever explainer it uses; everything
 else is reused as-is.
 """
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stream import Observation
 from .tree import SCOPE_LOCAL, AdaptiveClusterTree, DriftAlert
 
 REASON_INITIAL = "initial"
@@ -42,25 +42,27 @@ class AttributionVector:
 
 @dataclass
 class AttributionRecord:
-    """A tracked observation with its stored attribution and history.
+    """A tracked feature vector with its attribution history.
 
     ``history`` holds every computed vector (the initial one included),
-    aligned with ``log`` entries of (step, reason). Between recompute
-    events the stored attribution is simply the latest history entry.
-    ``leaf_id`` is the tree leaf the observation was last routed to, or
-    None for a record refreshed without the tree.
+    aligned with ``log`` entries of (step, reason); the stored
+    attribution is the latest one. ``leaf_id`` is the tree leaf ``x``
+    was last routed to.
     """
 
-    obs: Observation
-    current: AttributionVector
-    leaf_id: int | None
-    log: list[tuple[int, str]] = field(default_factory=list)
-    history: list[AttributionVector] = field(default_factory=list)
+    x: np.ndarray
+    leaf_id: int
+    log: list[tuple[int, str]] = field(default_factory=list, init=False)
+    history: list[AttributionVector] = field(default_factory=list, init=False)
 
-    @classmethod
-    def start(cls, obs: Observation, vec: AttributionVector, leaf_id: int | None = None) -> AttributionRecord:
-        """A record holding only its initial attribution ``vec``."""
-        return cls(obs, vec, leaf_id, [(vec.t, REASON_INITIAL)], [vec])
+    def refresh(self, vec: AttributionVector, reason: str) -> None:
+        """Store ``vec``, computed at step ``vec.t`` for ``reason``."""
+        self.log.append((vec.t, reason))
+        self.history.append(vec)
+
+    @property
+    def current(self) -> AttributionVector:
+        return self.history[-1]
 
     @property
     def recompute_count(self) -> int:
@@ -105,48 +107,38 @@ def verify_local_accuracy(model, x: np.ndarray, attribution: AttributionVector, 
 
 
 class AttributionTracker:
-    """Recomputes tracked attributions only on leaf change or local alert.
+    """Flags tracked attributions that went stale, for any model.
 
-    Call ``track`` to pin an observation (its initial attribution is
-    computed immediately) and ``step`` once per time step, after the
-    tree has been updated, with that step's alerts. A leaf change takes
-    precedence over a local alert when both apply at the same step.
+    Call ``track`` to pin a feature vector with its initial attribution
+    and ``step`` once per time step, after the tree has been updated,
+    with that step's alerts. A record is stale when the tree routes its
+    vector to a different leaf or raises a local alert at its leaf; a
+    leaf change takes precedence when both apply at the same step.
+    Recomputing the stale attributions is the caller's job.
     """
 
-    def __init__(self, model, tree: AdaptiveClusterTree):
-        _require_linear(model)
-        self.model = model
+    def __init__(self, tree: AdaptiveClusterTree):
         self.tree = tree
         self.records: list[AttributionRecord] = []
 
-    def track(self, obs: Observation, baseline_input: np.ndarray, t: int) -> AttributionRecord:
-        vec = attribute_linear(self.model, obs.x, baseline_input, t)
-        leaf = self.tree.find_leaf(obs.x)
-        record = AttributionRecord.start(obs, vec, leaf.node_id)
+    def track(self, x: np.ndarray, vec: AttributionVector) -> AttributionRecord:
+        record = AttributionRecord(x, self.tree.find_leaf(x).node_id)
+        record.refresh(vec, REASON_INITIAL)
         self.records.append(record)
         return record
 
-    def step(
-        self, alerts: list[DriftAlert], baseline_input: np.ndarray, t: int
-    ) -> list[AttributionRecord]:
-        """Refresh stale records for step t; returns those recomputed."""
+    def step(self, alerts: list[DriftAlert]) -> list[tuple[AttributionRecord, str]]:
+        """(record, reason) for each record gone stale, in record order."""
         alerted_leaves = {a.node_id for a in alerts if a.scope == SCOPE_LOCAL}
-        recomputed = []
+        stale = []
         for record in self.records:
-            leaf = self.tree.find_leaf(record.obs.x)
-            if leaf.node_id != record.leaf_id:
-                reason = REASON_LEAF_CHANGE
-            elif leaf.node_id in alerted_leaves:
-                reason = REASON_LOCAL_ALERT
-            else:
-                continue
-            vec = attribute_linear(self.model, record.obs.x, baseline_input, t)
-            record.current = vec
-            record.leaf_id = leaf.node_id
-            record.log.append((t, reason))
-            record.history.append(vec)
-            recomputed.append(record)
-        return recomputed
+            leaf_id = self.tree.find_leaf(record.x).node_id
+            if leaf_id != record.leaf_id:
+                record.leaf_id = leaf_id
+                stale.append((record, REASON_LEAF_CHANGE))
+            elif leaf_id in alerted_leaves:
+                stale.append((record, REASON_LOCAL_ALERT))
+        return stale
 
 
 def trace_rows(records: list[AttributionRecord]):

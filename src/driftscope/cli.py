@@ -80,22 +80,13 @@ def _write_stream_files(out: Path, name: str, stream: StreamSource, meta: dict) 
 # ----------------------------------------------------------------------
 
 
-def _build_schedule(positions, widths) -> DriftSchedule:
-    if not positions:
-        return DriftSchedule()
-    return DriftSchedule(
-        positions=tuple(positions),
-        widths=tuple(widths) if widths else None,
-    )
-
-
 def _default_concepts(kind: str, n_drifts: int) -> tuple[int, ...]:
     n_available = len(SEA_THRESHOLDS) if kind == "sea" else len(AGRAWAL_RULES)
     return tuple(i % n_available for i in range(n_drifts + 1))
 
 
 def _build_generator(args, seed: int) -> StreamSource:
-    schedule = _build_schedule(args.positions, args.widths)
+    schedule = DriftSchedule(tuple(args.positions), tuple(args.widths or ()))
     concepts = tuple(args.concepts) if args.concepts else _default_concepts(args.kind, len(schedule.positions))
     return make_generator(
         args.kind,
@@ -158,10 +149,9 @@ def cmd_generate(args) -> int:
 def cmd_inject_drift(args) -> int:
     cfg = _merged_config(args)
     stream = read_csv(args.input, label_column=_label_column(cfg))
-    schedule = _build_schedule(args.positions, args.widths)
     injected = permute_inject(
         stream,
-        schedule,
+        args.positions,
         top_fraction=args.top_fraction,
         bins=args.bins,
         seed=cfg["seed"],
@@ -173,7 +163,6 @@ def cmd_inject_drift(args) -> int:
         "top_fraction": args.top_fraction,
         "bins": args.bins,
         "positions": list(injected.drift_positions),
-        "widths": list(schedule.widths),
     }
     _write_stream_files(out, "injected", injected, meta)
     return 0
@@ -315,9 +304,10 @@ def _merged_config(args) -> dict:
     return validate_config(merge_config(file_values, overrides))
 
 
-def _add_common_flags(parser):
+def _add_common_flags(parser, with_seed: bool = True):
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help=f"run seed (default {DEFAULTS['seed']})")
+    if with_seed:  # bench draws nothing at random
+        parser.add_argument("--seed", type=int, help=f"run seed (default {DEFAULTS['seed']})")
     parser.add_argument("--out", required=True, help="output directory")
 
 
@@ -364,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inject-drift", help="permute top informative features of a CSV after given positions")
     _add_input_flags(p)
-    p.add_argument("--positions", type=int, nargs="+", required=True, help="injection positions")
-    p.add_argument("--widths", type=int, nargs="*", help="transition widths (0 = abrupt)")
+    p.add_argument("--positions", type=int, nargs="+", required=True, help="abrupt injection positions")
     p.add_argument("--top-fraction", dest="top_fraction", type=float, default=0.5, help="fraction of features to permute")
     p.add_argument("--bins", type=int, default=MI_BINS, help="histogram bins for the information ranking")
     _add_common_flags(p)
@@ -403,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--warmup", type=int, help="initial steps excluded from scoring")
     _add_detector_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, with_seed=False)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .stream import LabeledObservation, Observation, StreamSource
+from .stream import Observation, StreamSource
 
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 
@@ -125,10 +125,10 @@ class _GeneratorBase(StreamSource):
         self.seed = seed
         self.drift_positions = self.schedule.positions
 
-    def _emit(self, t: int, rng: np.random.Generator) -> LabeledObservation:
+    def _emit(self, t: int, rng: np.random.Generator) -> Observation:
         raise NotImplementedError
 
-    def __iter__(self) -> Iterator[LabeledObservation]:
+    def __iter__(self) -> Iterator[Observation]:
         rng = np.random.default_rng(self.seed)
         for t in range(self.length):
             yield self._emit(t, rng)
@@ -162,14 +162,14 @@ class SeaStream(_GeneratorBase):
             raise ValueError(f"perturbation must lie in [0, 1), got {perturbation}")
         self.perturbation = perturbation
 
-    def _emit(self, t: int, rng: np.random.Generator) -> LabeledObservation:
+    def _emit(self, t: int, rng: np.random.Generator) -> Observation:
         concept = self.concepts[_concept_index(self.schedule, t, rng)]
         threshold = SEA_THRESHOLDS[concept]
         x = rng.uniform(0.0, 10.0, size=3)
         label = 1 if x[0] + x[1] <= threshold else 0
         if rng.random() < self.perturbation:
             label = 1 - label
-        return LabeledObservation(Observation(t, x), label)
+        return Observation(t, x, label)
 
 
 # Classification rule sets 0..2 of the classic loan-approval generator.
@@ -242,7 +242,7 @@ class AgrawalStream(_GeneratorBase):
         value += self.perturbation * (hi - lo) * (2.0 * rng.random() - 1.0)
         return min(max(value, lo), hi)
 
-    def _emit(self, t: int, rng: np.random.Generator) -> LabeledObservation:
+    def _emit(self, t: int, rng: np.random.Generator) -> Observation:
         concept = self.concepts[_concept_index(self.schedule, t, rng)]
         salary = rng.uniform(20_000.0, 150_000.0)
         commission = 0.0 if salary >= 75_000.0 else rng.uniform(10_000.0, 75_000.0)
@@ -267,7 +267,7 @@ class AgrawalStream(_GeneratorBase):
         x = np.array(
             [salary, commission, age, float(elevel), float(car), float(zipcode), hvalue, hyears, loan]
         )
-        return LabeledObservation(Observation(t, x), label)
+        return Observation(t, x, label)
 
 
 def make_generator(kind: str, **kwargs) -> StreamSource:

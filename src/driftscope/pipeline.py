@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import (
-    REASON_EVERY_STEP,
-    AttributionRecord,
-    AttributionTracker,
-    attribute_linear,
-    trace_rows,
-)
+from .attribution import REASON_EVERY_STEP, AttributionTracker, attribute_linear, trace_rows
 from .baseline import EwmaBaseline
 from .config import MODEL_KINDS, DetectorConfig
 from .evaluation import DetectorRunner, DdmDetector, STATUS_DRIFT
@@ -104,7 +98,7 @@ class RunResult:
         return sorted({a.t for a in self.alerts if a.scope == SCOPE_GLOBAL})
 
 
-def run_detection(stream: StreamSource, collect_stats: bool = True, **settings) -> RunResult:
+def run_detection(stream: StreamSource, **settings) -> RunResult:
     """Run the change detector prequentially over a labeled stream.
 
     ``settings`` are ``DetectorConfig`` fields; the rest keep their
@@ -129,8 +123,7 @@ def run_detection(stream: StreamSource, collect_stats: bool = True, **settings) 
         tick = time.perf_counter()
         alerts.extend(detector.detect(item.x, prediction, t))
         detector_seconds += time.perf_counter() - tick
-        if collect_stats:
-            stats.append((t, tree.node_count, tree.leaf_count))
+        stats.append((t, tree.node_count, tree.leaf_count))
     total_seconds = time.perf_counter() - started
     return RunResult(
         alerts=tuple(alerts),
@@ -171,8 +164,8 @@ def run_tracking(
     Tracked observations are pinned on arrival (drawn without
     replacement from steps 1..sample_prefix-1; step 0 only warms the
     model up) and their stored attributions are refreshed according to
-    ``policy``: reuse until leaf change or local alert, recompute every
-    step, or never refresh. With ``oracle`` on, the always-recompute
+    ``policy``: when the tracker flags them stale (leaf change or local
+    alert), every step, or never. With ``oracle`` on, the always-recompute
     attribution of every tracked observation is computed each step and
     the deviation of the stored attributions from it is accumulated
     streamingly. ``settings`` are ``DetectorConfig`` fields; the model
@@ -193,8 +186,8 @@ def run_tracking(
     source = scaled(stream)
     detector = _ChangeDetector(config, source)
     clf = detector.clf
-    tracker = AttributionTracker(clf, detector.tree) if policy == "cdleeds" else None
-    records: list[AttributionRecord] = tracker.records if tracker is not None else []
+    tracker = AttributionTracker(detector.tree)
+    records = tracker.records
     rng = np.random.default_rng(seed)
     pin_steps = set()
     if sample_size:
@@ -212,23 +205,20 @@ def run_tracking(
         tick = time.perf_counter()
         alerts = detector.detect(x, prediction, t)
         base_vec = detector.baseline.ewma
-        if tracker is not None and records:
-            tracker.step(alerts, base_vec, t)
-        elif policy == "always":
-            for record in records:
-                vec = attribute_linear(clf, record.obs.x, base_vec, t)
-                record.current = vec
-                record.log.append((t, REASON_EVERY_STEP))
-                record.history.append(vec)
+        if policy == "always":
+            stale = [(record, REASON_EVERY_STEP) for record in records]
+        elif policy == "cdleeds" and records:
+            stale = tracker.step(alerts)
+        else:
+            stale = []
+        for record, reason in stale:
+            record.refresh(attribute_linear(clf, record.x, base_vec, t), reason)
         if t in pin_steps:
-            if tracker is not None:
-                tracker.track(item.obs, base_vec, t)
-            else:
-                records.append(AttributionRecord.start(item.obs, attribute_linear(clf, x, base_vec, t)))
+            tracker.track(x, attribute_linear(clf, x, base_vec, t))
         detector_seconds += time.perf_counter() - tick
         if oracle:
             for record in records:
-                oracle_phi = clf.weights * (record.obs.x - base_vec)
+                oracle_phi = clf.weights * (record.x - base_vec)
                 lo = float(oracle_phi.min())
                 hi = float(oracle_phi.max())
                 oracle_min = lo if lo < oracle_min else oracle_min
@@ -267,7 +257,7 @@ def cdleeds_runner(**settings) -> DetectorRunner:
     """
 
     def run(stream: StreamSource) -> tuple[list[int], float]:
-        result = run_detection(stream, collect_stats=False, **settings)
+        result = run_detection(stream, **settings)
         return result.global_alert_steps, result.mean_update_seconds
 
     return run

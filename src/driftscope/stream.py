@@ -20,24 +20,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Observation:
-    """A single feature vector with its arrival step."""
+    """A feature vector with its arrival step and class label."""
 
     t: int
     x: np.ndarray
-
-
-@dataclass(frozen=True)
-class LabeledObservation:
-    obs: Observation
     y: int
-
-    @property
-    def t(self) -> int:
-        return self.obs.t
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.obs.x
 
 
 class CsvParseError(ValueError):
@@ -57,7 +44,7 @@ class StreamSource:
     length: int
     drift_positions: tuple[int, ...] = ()
 
-    def __iter__(self) -> Iterator[LabeledObservation]:
+    def __iter__(self) -> Iterator[Observation]:
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -85,9 +72,9 @@ class BufferedStream(StreamSource):
         if not self.feature_names:
             self.feature_names = tuple(f"f{i}" for i in range(self.n_features))
 
-    def __iter__(self) -> Iterator[LabeledObservation]:
+    def __iter__(self) -> Iterator[Observation]:
         for t in range(self.length):
-            yield LabeledObservation(Observation(t, self.features[t]), int(self.labels[t]))
+            yield Observation(t, self.features[t], int(self.labels[t]))
 
 
 def buffer_stream(source: StreamSource) -> BufferedStream:
@@ -241,7 +228,7 @@ class Normalizer:
         return (np.asarray(x, dtype=float) - self.mins) / self._span
 
     def normalize(self, obs: Observation) -> Observation:
-        return Observation(obs.t, self.transform(obs.x))
+        return Observation(obs.t, self.transform(obs.x), obs.y)
 
 
 def fit_normalizer(source: StreamSource) -> Normalizer:
@@ -271,9 +258,9 @@ class ScaledStream(StreamSource):
         self.length = base.length
         self.drift_positions = tuple(base.drift_positions)
 
-    def __iter__(self) -> Iterator[LabeledObservation]:
+    def __iter__(self) -> Iterator[Observation]:
         for item in self.base:
-            yield LabeledObservation(self.normalizer.normalize(item.obs), item.y)
+            yield self.normalizer.normalize(item)
 
 
 def scaled(source: StreamSource) -> StreamSource:

@@ -157,7 +157,7 @@ class TestAcceptance:
         labels = np.zeros(n, dtype=np.int64)
         labels[::2] = 1
         stream = BufferedStream(features=features, labels=labels, feature_ranges=((0.0, 10.0),) * 3)
-        result = run_detection(stream, learning_rate=0.0, collect_stats=False)
+        result = run_detection(stream, learning_rate=0.0)
         silent_ok = len(result.alerts) == 0
 
         elapsed = time.perf_counter() - started
@@ -278,7 +278,7 @@ class TestAcceptance:
     def test_c06_global_detection_on_abrupt_drift(self):
         started = time.perf_counter()
         stream = _sea_abrupt(seed=1)
-        result = run_detection(stream, collect_stats=False)
+        result = run_detection(stream)
         scores = score_alerts(stream, result.global_alert_steps)
         delays = [d for d in scores["delays"] if d is not None]
         mean_delay = float(np.mean(delays)) if delays else math.inf
@@ -351,7 +351,7 @@ class TestAcceptance:
 
     def test_c09_throughput_at_default_settings(self):
         stream = buffer_stream(SeaStream(length=12000, seed=9))
-        result = run_detection(stream, collect_stats=False)
+        result = run_detection(stream)
         per_update_ms = result.mean_update_seconds * 1e3
         ok = result.steps >= 10_000 and per_update_ms < 5.0
         _line(

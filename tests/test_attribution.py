@@ -17,7 +17,7 @@ from driftscope.attribution import (
 from driftscope.config import DetectorConfig
 from driftscope.models import GaussianNaiveBayes, OnlineLogisticRegression
 from driftscope.pipeline import run_tracking
-from driftscope.stream import BufferedStream, Observation
+from driftscope.stream import BufferedStream
 from driftscope.tree import AdaptiveClusterTree, DriftAlert, SCOPE_LOCAL, KIND_CHANGE_TEST
 
 
@@ -115,134 +115,140 @@ class TestVerifyLocalAccuracy:
 
 def _tracker(n_features=1, window=8):
     tree = AdaptiveClusterTree(n_features, DetectorConfig(window=window))
-    model = OnlineLogisticRegression(n_features=n_features)
-    model.weights = np.full(n_features, 0.8)
-    model.bias = -0.1
-    return AttributionTracker(model, tree), tree
+    return AttributionTracker(tree), tree
+
+
+def _vec(t, n_features=1):
+    return AttributionVector(phi=np.zeros(n_features), phi0=0.0, t=t)
 
 
 class TestAttributionTracker:
-    def test_rejects_nonlinear_model(self):
-        tree = AdaptiveClusterTree(2, DetectorConfig(window=8))
-        with pytest.raises(TypeError, match="linear model"):
-            AttributionTracker(GaussianNaiveBayes(n_features=2, n_classes=2), tree)
-
     def test_initial_computation_is_logged(self):
         tracker, tree = _tracker()
         tree.update(np.array([0.5]), 0.0, 0)
-        record = tracker.track(Observation(0, np.array([0.5])), np.array([0.5]), 0)
+        vec = _vec(0)
+        record = tracker.track(np.array([0.5]), vec)
+        assert tracker.records == [record]
         assert record.log == [(0, REASON_INITIAL)]
+        assert record.history == [vec]
+        assert record.current is vec
         assert record.recompute_count == 1
-        assert verify_local_accuracy(tracker.model, record.obs.x, record.current)
+        assert record.leaf_id == tree.find_leaf(np.array([0.5])).node_id
 
     def test_stationary_stream_never_recomputes(self):
         tracker, tree = _tracker(window=8)
-        baseline = np.array([0.5])
         tree.update(np.array([0.5]), 0.0, 0)
-        record = tracker.track(Observation(0, np.array([0.5])), baseline, 0)
+        record = tracker.track(np.array([0.5]), _vec(0))
+        leaf_id = record.leaf_id
         for t in range(1, 60):
             alerts = tree.update(np.array([0.5]), 0.0, t)
-            tracker.step(alerts, baseline, t)
+            assert tracker.step(alerts) == []
+        assert record.leaf_id == leaf_id
         assert record.log == [(0, REASON_INITIAL)]
 
     def test_split_triggers_leaf_change(self):
         tracker, tree = _tracker(window=8)
-        baseline = np.array([0.0])
         tree.update(np.array([0.0]), 0.0, 0)
-        record = tracker.track(Observation(0, np.array([0.0])), baseline, 0)
+        record = tracker.track(np.array([0.0]), _vec(0))
         old_leaf = record.leaf_id
         alerts = tree.update(np.array([1.0]), 0.0, 1)  # far point forces a split
-        recomputed = tracker.step(alerts, baseline, 1)
-        assert recomputed == [record]
-        assert record.log[-1] == (1, REASON_LEAF_CHANGE)
+        assert tracker.step(alerts) == [(record, REASON_LEAF_CHANGE)]
         assert record.leaf_id != old_leaf
         assert record.leaf_id == tree.find_leaf(np.array([0.0])).node_id
+        # flagging is not refreshing: only the caller adds to the log
+        assert record.log == [(0, REASON_INITIAL)]
+        assert tracker.step([]) == []
 
     def test_local_alert_triggers_recompute(self):
         tracker, tree = _tracker(window=4)
-        baseline = np.array([0.5])
         diffs = [0.0, 0.0, 5.0, 5.0]
-        alerts = tree.update(np.array([0.5]), diffs[0], 0)
-        record = tracker.track(Observation(0, np.array([0.5])), baseline, 0)
+        tree.update(np.array([0.5]), diffs[0], 0)
+        record = tracker.track(np.array([0.5]), _vec(0))
+        flagged = []
         logged = []
         for t in range(1, 4):
             alerts = tree.update(np.array([0.5]), diffs[t], t)
-            tracker.step(alerts, baseline, t)
+            flagged.extend((t, reason) for _, reason in tracker.step(alerts))
             logged.extend(a for a in alerts if a.scope == SCOPE_LOCAL)
         assert len(logged) == 1
-        assert record.log[-1] == (3, REASON_LOCAL_ALERT)
+        assert flagged == [(3, REASON_LOCAL_ALERT)]
+        assert record.leaf_id == logged[0].node_id
 
     def test_leaf_change_wins_over_simultaneous_alert(self):
         tracker, tree = _tracker(window=8)
-        baseline = np.array([0.0])
         tree.update(np.array([0.0]), 0.0, 0)
-        record = tracker.track(Observation(0, np.array([0.0])), baseline, 0)
+        record = tracker.track(np.array([0.0]), _vec(0))
         tree.update(np.array([1.0]), 0.0, 1)
         new_leaf = tree.find_leaf(np.array([0.0]))
         fake = DriftAlert(
             t=1, scope=SCOPE_LOCAL, p_value=0.001, kind=KIND_CHANGE_TEST, node_id=new_leaf.node_id
         )
-        tracker.step([fake], baseline, 1)
-        assert record.log[-1] == (1, REASON_LEAF_CHANGE)
+        assert tracker.step([fake]) == [(record, REASON_LEAF_CHANGE)]
+        assert record.leaf_id == new_leaf.node_id
+        # the next alert at the same leaf is a local alert
+        assert tracker.step([fake]) == [(record, REASON_LOCAL_ALERT)]
 
     def test_alert_on_other_leaf_is_ignored(self):
         tracker, tree = _tracker(window=8)
-        baseline = np.array([0.0])
         tree.update(np.array([0.0]), 0.0, 0)
         tree.update(np.array([1.0]), 0.0, 1)
-        record = tracker.track(Observation(0, np.array([0.0])), baseline, 1)
+        record = tracker.track(np.array([0.0]), _vec(1))
         other = tree.find_leaf(np.array([1.0]))
         fake = DriftAlert(
             t=2, scope=SCOPE_LOCAL, p_value=0.001, kind=KIND_CHANGE_TEST, node_id=other.node_id
         )
         tree.update(np.array([0.0]), 0.0, 2)
-        assert tracker.step([fake], baseline, 2) == []
+        assert tracker.step([fake]) == []
         assert record.log == [(1, REASON_INITIAL)]
+
+    def test_stale_records_come_in_record_order(self):
+        tracker, tree = _tracker(window=8)
+        tree.update(np.array([0.0]), 0.0, 0)
+        near = tracker.track(np.array([0.1]), _vec(0))
+        far = tracker.track(np.array([0.9]), _vec(0))
+        first = tracker.track(np.array([0.0]), _vec(0))
+        tree.update(np.array([1.0]), 0.0, 1)  # the split moves every record
+        assert [r for r, _ in tracker.step([])] == [near, far, first]
 
     def test_identical_runs_produce_identical_logs(self):
         def run():
             rng = np.random.default_rng(7)
             tracker, tree = _tracker(window=8)
-            baseline = np.array([0.5])
-            record = None
             for t in range(120):
                 x = rng.random(1)
                 diff = 0.0 if t < 60 else rng.normal(2.0, 0.1)
                 alerts = tree.update(x, diff, t)
-                if t == 0:
-                    record = tracker.track(Observation(0, x), baseline, 0)
+                if t < 3:
+                    tracker.track(x, _vec(t))
                 else:
-                    tracker.step(alerts, baseline, t)
-            return record.log
+                    for record, reason in tracker.step(alerts):
+                        record.refresh(_vec(t), reason)
+            return [record.log for record in tracker.records]
 
         assert run() == run()
 
     def test_recompute_count_matches_log(self):
         tracker, tree = _tracker(window=4)
-        baseline = np.array([0.5])
         rng = np.random.default_rng(3)
-        alerts = tree.update(rng.random(1), 0.0, 0)
-        record = tracker.track(Observation(0, np.array([0.2])), baseline, 0)
+        tree.update(rng.random(1), 0.0, 0)
+        record = tracker.track(np.array([0.2]), _vec(0))
         for t in range(1, 80):
             alerts = tree.update(rng.random(1), rng.normal(), t)
-            tracker.step(alerts, baseline, t)
-        assert record.recompute_count == len(record.log)
+            for stale, reason in tracker.step(alerts):
+                stale.refresh(_vec(t), reason)
+        assert record.recompute_count == len(record.log) > 1
         assert len(record.history) == len(record.log)
+        assert [t for t, _ in record.log] == [vec.t for vec in record.history]
+        assert record.current is record.history[-1]
+        assert record.start_t == 0
 
 
 def _record(phis, times):
-    history = [
-        AttributionVector(phi=np.asarray(p, dtype=float), phi0=0.0, t=t)
-        for p, t in zip(phis, times)
-    ]
     reasons = [REASON_INITIAL] + [REASON_LEAF_CHANGE] * (len(times) - 1)
-    return AttributionRecord(
-        obs=Observation(times[0], np.zeros(len(phis[0]))),
-        current=history[-1],
-        leaf_id=0,
-        log=list(zip(times, reasons)),
-        history=history,
-    )
+    record = AttributionRecord(np.zeros(len(phis[0])), leaf_id=0)
+    for p, t, reason in zip(phis, times, reasons):
+        record.refresh(AttributionVector(phi=np.asarray(p, dtype=float), phi0=0.0, t=t), reason)
+    return record
 
 
 def _tiny_stream(rows):

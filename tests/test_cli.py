@@ -212,6 +212,16 @@ class TestGenerate:
         assert code == 2
         assert "generate" in err and "position" in err
 
+    def test_widths_without_positions_fail(self, tmp_path, capsys):
+        code, _, err = _run(
+            ["generate", "--kind", "sea", "--length", "300", "--widths", "100",
+             "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert "0 positions but 1 widths" in err
+        assert not (tmp_path / "x" / "stream.csv").exists()
+
     def test_module_entry_point_runs(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "driftscope", "generate", "--kind", "sea",
@@ -333,10 +343,17 @@ class TestInjectDrift:
         assert not np.allclose(original.features[400:], injected.features[400:])
         meta = json.loads((out / "injected.drifts.json").read_text())
         assert meta["positions"] == [400]
+        assert "widths" not in meta  # injection is always abrupt
 
     def test_requires_input(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["inject-drift", "--positions", "10", "--out", str(tmp_path / "x")])
+
+    def test_has_no_widths_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["inject-drift", "--input", "s.csv", "--positions", "10", "--widths", "4", "--out", "x"]
+            )
 
 
 class TestTrackAttributions:
@@ -393,6 +410,10 @@ class TestBench:
             capsys,
         )[0] == 0
         return gen / "stream.csv"
+
+    def test_has_no_seed_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--stream", "s.csv", "--seed", "1", "--out", "x"])
 
     def test_report_rows_per_stream_and_detector(self, tmp_path, capsys):
         stream_csv = self._generated(tmp_path, capsys)

@@ -66,7 +66,7 @@ class TestBuildModel:
 
 class TestRunDetection:
     def test_model_learns_the_stationary_concept(self):
-        result = run_detection(_sea(3000, seed=4), collect_stats=False)
+        result = run_detection(_sea(3000, seed=4))
         assert result.accuracy > 0.8
 
     def test_first_observation_only_trains(self):
@@ -93,7 +93,7 @@ class TestRunDetection:
 
     def test_alert_scopes_and_fields(self):
         stream = _sea(6000, seed=2, positions=(3000,))
-        result = run_detection(stream, collect_stats=False)
+        result = run_detection(stream)
         assert result.alerts
         for alert in result.alerts:
             assert alert.scope in (SCOPE_LOCAL, SCOPE_GLOBAL)
@@ -102,14 +102,14 @@ class TestRunDetection:
 
     def test_global_alert_steps_sorted_unique(self):
         stream = _sea(6000, seed=2, positions=(3000,))
-        result = run_detection(stream, collect_stats=False)
+        result = run_detection(stream)
         steps = result.global_alert_steps
         assert steps == sorted(set(steps))
         assert steps, "an abrupt concept change should raise a global alert"
 
     def test_detects_abrupt_drift_within_window(self):
         stream = _sea(8000, seed=3, positions=(4000,))
-        result = run_detection(stream, collect_stats=False)
+        result = run_detection(stream)
         after = [t for t in result.global_alert_steps if t >= 4000]
         assert after and after[0] - 4000 <= 2000
 
@@ -129,12 +129,8 @@ class TestRunDetection:
         assert max(nodes) > 1
         assert all(l <= n for n, l in zip(nodes, leaves))
 
-    def test_stats_can_be_disabled(self):
-        result = run_detection(_sea(300, seed=5), collect_stats=False)
-        assert result.stats == ()
-
     def test_gnb_model_runs(self):
-        result = run_detection(_sea(800, seed=6), model="gnb", collect_stats=False)
+        result = run_detection(_sea(800, seed=6), model="gnb")
         assert result.steps == 799
         assert 0.0 <= result.accuracy <= 1.0
 
@@ -143,7 +139,7 @@ class TestRunDetection:
         features = rng.normal(50.0, 20.0, size=(600, 3))
         labels = (features[:, 0] > 50.0).astype(np.int64)
         stream = BufferedStream(features=features, labels=labels)
-        result = run_detection(stream, collect_stats=False)
+        result = run_detection(stream)
         assert result.steps == 599
 
     def test_model_predicts_each_observation_once(self, monkeypatch):
@@ -152,7 +148,7 @@ class TestRunDetection:
         monkeypatch.setattr(
             GaussianNaiveBayes, "predict", lambda model, x: calls.append(1) or predict(model, x)
         )
-        result = run_detection(_sea(300, seed=6), model="gnb", collect_stats=False)
+        result = run_detection(_sea(300, seed=6), model="gnb")
         # one prediction of the observation, one of the baseline input
         assert len(calls) == 2 * result.steps
 
@@ -161,7 +157,7 @@ class TestRunDetection:
             run_detection(_sea(300), window=5)
 
     def test_timing_fields_populated(self):
-        result = run_detection(_sea(400, seed=8), collect_stats=False)
+        result = run_detection(_sea(400, seed=8))
         assert result.mean_update_seconds > 0.0
         assert result.total_seconds >= result.mean_update_seconds * result.steps
 

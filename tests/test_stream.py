@@ -131,9 +131,11 @@ class TestNormalizer:
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     def test_normalize_preserves_time_step(self):
-        norm = Normalizer(np.zeros(2), np.ones(2))
-        obs = norm.normalize(Observation(7, np.array([0.5, 0.5])))
+        norm = Normalizer(np.zeros(2), np.full(2, 2.0))
+        obs = norm.normalize(Observation(7, np.array([0.5, 1.0]), 1))
         assert obs.t == 7
+        assert obs.y == 1
+        np.testing.assert_allclose(obs.x, [0.25, 0.5])
 
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
