@@ -20,7 +20,7 @@ from .evaluation import run_benchmark
 from .generators import AGRAWAL_RULES, SEA_THRESHOLDS, DriftSchedule, make_generator
 from .injection import MI_BINS, permute_inject
 from .pipeline import TRACKING_POLICIES, cdleeds_runner, ddm_runner, run_detection, run_tracking
-from .stream import StreamSource, buffer_stream, read_csv
+from .stream import BufferedStream, StreamSource, buffer_stream, read_csv
 
 DETECTOR_BUILDERS = ("cdleeds", "ddm")
 
@@ -65,11 +65,10 @@ def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".drifts.json")
 
 
-def _write_stream_files(out: Path, name: str, stream: StreamSource, meta: dict) -> None:
+def _write_stream_files(out: Path, name: str, stream: BufferedStream, meta: dict) -> None:
     csv_path = out / f"{name}.csv"
-    names = stream.feature_names or tuple(f"f{i}" for i in range(stream.n_features))
     rows = ([*item.x.tolist(), int(item.y)] for item in stream)
-    _write_csv(csv_path, [*names, "label"], rows)
+    _write_csv(csv_path, [*stream.feature_names, "label"], rows)
     sidecar = _sidecar_path(csv_path)
     _write_json(sidecar, meta)
     print(f"wrote {csv_path} and {sidecar}")
@@ -335,8 +334,8 @@ def _add_generator_flags(parser, kind_required: bool):
     parser.add_argument("--perturbation", type=float, default=0.1, help="generator noise level")
 
 
-def _add_input_flags(parser):
-    parser.add_argument("--input", help="labeled CSV stream")
+def _add_input_flags(parser, input_required: bool = False):
+    parser.add_argument("--input", required=input_required, help="labeled CSV stream")
     parser.add_argument("--label-column", dest="label_column", help="label column name (default 'label')")
 
 
@@ -353,13 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("inject-drift", help="permute top informative features of a CSV after given positions")
-    _add_input_flags(p)
+    _add_input_flags(p, input_required=True)
     p.add_argument("--positions", type=int, nargs="+", required=True, help="abrupt injection positions")
     p.add_argument("--top-fraction", dest="top_fraction", type=float, default=0.5, help="fraction of features to permute")
     p.add_argument("--bins", type=int, default=MI_BINS, help="histogram bins for the information ranking")
     _add_common_flags(p)
     p.set_defaults(func=cmd_inject_drift)
-    p.set_defaults(input_required=True)
 
     p = sub.add_parser("detect", help="run the change detector over a stream")
     _add_input_flags(p)
@@ -401,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "input_required", False) and not args.input:
-        parser.error(f"{args.command}: --input is required")
     try:
         return args.func(args)
     except Exception as exc:  # surface the failing stage, keep the exit code nonzero

@@ -108,11 +108,14 @@ def _concept_index(schedule: DriftSchedule, t: int, rng: np.random.Generator) ->
 
 
 class _GeneratorBase(StreamSource):
-    """Common drift sequencing for the synthetic generators."""
+    """Common drift sequencing and noise level for the synthetic generators."""
 
-    def __init__(self, length: int, concepts, schedule: DriftSchedule | None, seed: int):
+    def __init__(self, length: int, concepts, schedule: DriftSchedule | None, perturbation: float, seed: int):
         if length < 1:
             raise ValueError(f"stream length must be >= 1, got {length}")
+        if not 0.0 <= perturbation < 1.0:
+            raise ValueError(f"perturbation must lie in [0, 1), got {perturbation}")
+        self.perturbation = perturbation
         self.schedule = schedule or DriftSchedule()
         self.schedule.validate_for_length(length)
         self.concepts = tuple(int(c) for c in concepts)
@@ -155,12 +158,9 @@ class SeaStream(_GeneratorBase):
         perturbation: float = 0.1,
         seed: int = 0,
     ):
-        super().__init__(length, concepts, schedule, seed)
+        super().__init__(length, concepts, schedule, perturbation, seed)
         if any(not 0 <= c < len(SEA_THRESHOLDS) for c in self.concepts):
             raise ValueError(f"SEA concepts must index {SEA_THRESHOLDS}, got {self.concepts}")
-        if not 0.0 <= perturbation < 1.0:
-            raise ValueError(f"perturbation must lie in [0, 1), got {perturbation}")
-        self.perturbation = perturbation
 
     def _emit(self, t: int, rng: np.random.Generator) -> Observation:
         concept = self.concepts[_concept_index(self.schedule, t, rng)]
@@ -229,14 +229,11 @@ class AgrawalStream(_GeneratorBase):
         perturbation: float = 0.1,
         seed: int = 0,
     ):
-        super().__init__(length, concepts, schedule, seed)
+        super().__init__(length, concepts, schedule, perturbation, seed)
         if any(not 0 <= c < len(AGRAWAL_RULES) for c in self.concepts):
             raise ValueError(
                 f"Agrawal concepts must index functions 0..{len(AGRAWAL_RULES) - 1}, got {self.concepts}"
             )
-        if not 0.0 <= perturbation < 1.0:
-            raise ValueError(f"perturbation must lie in [0, 1), got {perturbation}")
-        self.perturbation = perturbation
 
     def _perturb(self, rng, value, lo, hi):
         value += self.perturbation * (hi - lo) * (2.0 * rng.random() - 1.0)

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .generators import DriftSchedule
 from .stream import BufferedStream
 
 MI_BINS = 10
@@ -86,7 +85,7 @@ def mi_rank_features(
 
 def permute_inject(
     stream: BufferedStream,
-    schedule: DriftSchedule | Sequence[int],
+    positions: Sequence[int],
     top_fraction: float = 0.5,
     bins: int = MI_BINS,
     seed: int = 0,
@@ -102,9 +101,7 @@ def permute_inject(
     every per-feature value multiset from any drift position onward is
     exactly preserved.
     """
-    positions = schedule.positions if isinstance(schedule, DriftSchedule) else tuple(
-        int(p) for p in schedule
-    )
+    positions = tuple(int(p) for p in positions)
     if not positions:
         raise ValueError("need at least one injection position")
     if list(positions) != sorted(set(positions)):

@@ -46,15 +46,16 @@ def _predicted_class(prediction) -> int:
     return int(np.argmax(prediction))
 
 
-def _prequential(source: StreamSource, clf, baseline: EwmaBaseline | None = None):
-    """Test-then-train over a scaled stream.
+def _prequential(stream: StreamSource, clf, baseline: EwmaBaseline | None = None):
+    """Test-then-train over the stream, scaled into the unit box.
 
-    Yields ``(item, prediction)`` for every step t >= 1, where
-    ``prediction`` is the model's one prediction of ``item.x`` before it
-    trains on ``item``; training happens when the consumer asks for the
-    next step. Step 0 only trains the model and seeds ``baseline``.
+    Yields ``(item, prediction)`` for every step t >= 1, where ``item``
+    is the scaled observation and ``prediction`` the model's one
+    prediction of ``item.x`` before it trains on ``item``; training
+    happens when the consumer asks for the next step. Step 0 only trains
+    the model and seeds ``baseline``.
     """
-    for item in source:
+    for item in scaled(stream):
         x = item.x
         if item.t == 0:
             if baseline is not None:
@@ -67,10 +68,10 @@ def _prequential(source: StreamSource, clf, baseline: EwmaBaseline | None = None
 class _ChangeDetector:
     """The monitored model, its EWMA baseline, and the cluster tree."""
 
-    def __init__(self, config: DetectorConfig, source: StreamSource):
-        self.clf = build_model(config.model, source.n_features, source.n_classes, config.learning_rate)
+    def __init__(self, config: DetectorConfig, stream: StreamSource):
+        self.clf = build_model(config.model, stream.n_features, stream.n_classes, config.learning_rate)
         self.baseline = EwmaBaseline(config.beta)
-        self.tree = AdaptiveClusterTree(source.n_features, config)
+        self.tree = AdaptiveClusterTree(stream.n_features, config)
 
     def detect(self, x: np.ndarray, prediction, t: int) -> list[DriftAlert]:
         """Local and global alerts of step t, given the model's prediction of x."""
@@ -107,8 +108,7 @@ def run_detection(stream: StreamSource, **settings) -> RunResult:
     sees a model that has been trained at least once.
     """
     config = DetectorConfig(**settings)
-    source = scaled(stream)
-    detector = _ChangeDetector(config, source)
+    detector = _ChangeDetector(config, stream)
     tree = detector.tree
     alerts: list[DriftAlert] = []
     stats: list[tuple[int, int, int]] = []
@@ -116,7 +116,7 @@ def run_detection(stream: StreamSource, **settings) -> RunResult:
     steps = 0
     detector_seconds = 0.0
     started = time.perf_counter()
-    for item, prediction in _prequential(source, detector.clf, detector.baseline):
+    for item, prediction in _prequential(stream, detector.clf, detector.baseline):
         t = item.t
         correct += _predicted_class(prediction) == item.y
         steps += 1
@@ -183,8 +183,7 @@ def run_tracking(
         raise ValueError(
             f"sample_size {sample_size} does not fit the stream prefix [1, {prefix_end})"
         )
-    source = scaled(stream)
-    detector = _ChangeDetector(config, source)
+    detector = _ChangeDetector(config, stream)
     clf = detector.clf
     tracker = AttributionTracker(detector.tree)
     records = tracker.records
@@ -199,7 +198,7 @@ def run_tracking(
     detector_seconds = 0.0
     steps = 0
     started = time.perf_counter()
-    for item, prediction in _prequential(source, clf, detector.baseline):
+    for item, prediction in _prequential(stream, clf, detector.baseline):
         t, x = item.t, item.x
         steps += 1
         tick = time.perf_counter()
@@ -269,13 +268,12 @@ def ddm_runner(
     """Benchmark runner for the error-rate baseline detector."""
 
     def run(stream: StreamSource) -> tuple[list[int], float]:
-        source = scaled(stream)
-        clf = build_model(model, source.n_features, source.n_classes, learning_rate)
+        clf = build_model(model, stream.n_features, stream.n_classes, learning_rate)
         ddm = DdmDetector()
         alerts: list[int] = []
         detector_seconds = 0.0
         steps = 0
-        for item, prediction in _prequential(source, clf):
+        for item, prediction in _prequential(stream, clf):
             steps += 1
             is_correct = _predicted_class(prediction) == item.y
             tick = time.perf_counter()

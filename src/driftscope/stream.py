@@ -35,14 +35,18 @@ class StreamSource:
     """Base class for labeled streams.
 
     Subclasses set ``n_features``, ``n_classes``, ``length`` and
-    ``drift_positions`` and implement ``__iter__``. Iteration must be
-    repeatable: two passes over the same source yield identical data.
+    ``drift_positions`` and implement ``__iter__``; they may name their
+    features and declare each feature's ``(min, max)`` range. Iteration
+    must be repeatable: two passes over the same source yield identical
+    data.
     """
 
     n_features: int
     n_classes: int
     length: int
     drift_positions: tuple[int, ...] = ()
+    feature_names: tuple[str, ...] = ()
+    feature_ranges: tuple[tuple[float, float], ...] = ()
 
     def __iter__(self) -> Iterator[Observation]:
         raise NotImplementedError
@@ -94,25 +98,26 @@ def buffer_stream(source: StreamSource) -> BufferedStream:
         features=rows,
         labels=labels,
         drift_positions=tuple(source.drift_positions),
-        feature_names=tuple(getattr(source, "feature_names", ()) or ()),
-        feature_ranges=tuple(getattr(source, "feature_ranges", ()) or ()),
+        feature_names=tuple(source.feature_names),
+        feature_ranges=tuple(source.feature_ranges),
     )
 
 
 def read_csv(
     path: str | Path,
-    label_column: str | int,
-    has_header: bool = True,
+    label_column: str,
     drift_positions: Sequence[int] = (),
 ) -> BufferedStream:
     """Load a labeled CSV file into a buffered stream.
 
-    Numeric columns are parsed as floats. A column whose first value is
-    non-numeric is treated as categorical and encoded by order of first
-    appearance; the label column is always encoded that way, so labels
-    come out as 0..C-1. Ragged rows, missing fields, non-numeric values
-    in a previously numeric column, and non-finite numbers (nan, inf)
-    are rejected with the row and column named.
+    The first row is a header naming every column; ``label_column``
+    names the one holding the class labels. Numeric columns are parsed
+    as floats. A column whose first value is non-numeric is treated as
+    categorical and encoded by order of first appearance; the label
+    column is always encoded that way, so labels come out as 0..C-1.
+    Ragged rows, missing fields, non-numeric values in a previously
+    numeric column, and non-finite numbers (nan, inf) are rejected with
+    the row and column named.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -121,27 +126,16 @@ def read_csv(
     if not rows:
         raise CsvParseError(f"{path}: file contains no data rows")
 
-    if has_header:
-        header = [name.strip() for name in rows[0]]
-        data_rows = rows[1:]
-        start_line = 2
-    else:
-        header = [str(i) for i in range(len(rows[0]))]
-        data_rows = rows
-        start_line = 1
+    header = [name.strip() for name in rows[0]]
+    data_rows = rows[1:]
     if not data_rows:
         raise CsvParseError(f"{path}: file contains a header but no data rows")
 
     n_cols = len(header)
-    if isinstance(label_column, int):
-        label_idx = label_column
-        if not 0 <= label_idx < n_cols:
-            raise CsvParseError(f"{path}: label column index {label_idx} out of range for {n_cols} columns")
-    else:
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise CsvParseError(f"{path}: label column {label_column!r} not found in header {header}") from None
+    try:
+        label_idx = header.index(label_column)
+    except ValueError:
+        raise CsvParseError(f"{path}: label column {label_column!r} not found in header {header}") from None
 
     feature_idx = [i for i in range(n_cols) if i != label_idx]
     is_numeric = [True] * n_cols
@@ -150,7 +144,7 @@ def read_csv(
     # Column kind is fixed by its first value: numeric stays numeric.
     first = data_rows[0]
     if len(first) != n_cols:
-        raise CsvParseError(f"{path}: row {start_line} has {len(first)} fields, expected {n_cols}")
+        raise CsvParseError(f"{path}: row 2 has {len(first)} fields, expected {n_cols}")
     for j, value in enumerate(first):
         try:
             float(value)
@@ -161,7 +155,7 @@ def read_csv(
     features = np.empty((len(data_rows), len(feature_idx)), dtype=float)
     labels = np.empty(len(data_rows), dtype=np.int64)
     for r, row in enumerate(data_rows):
-        line = start_line + r
+        line = r + 2  # the header is line 1
         if len(row) != n_cols:
             raise CsvParseError(f"{path}: row {line} has {len(row)} fields, expected {n_cols}")
         for k, j in enumerate(feature_idx):
@@ -218,12 +212,6 @@ class Normalizer:
         span[span == 0.0] = 1.0  # constant features map to 0
         self._span = span
 
-    @classmethod
-    def from_ranges(cls, ranges: Sequence[tuple[float, float]]) -> "Normalizer":
-        lo = np.array([r[0] for r in ranges], dtype=float)
-        hi = np.array([r[1] for r in ranges], dtype=float)
-        return cls(lo, hi)
-
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.mins) / self._span
 
@@ -231,48 +219,18 @@ class Normalizer:
         return Observation(obs.t, self.transform(obs.x), obs.y)
 
 
-def fit_normalizer(source: StreamSource) -> Normalizer:
-    """Fit per-feature min/max over a full pass of the stream."""
-    mins: np.ndarray | None = None
-    maxs: np.ndarray | None = None
-    for item in source:
-        if mins is None:
-            mins = item.x.astype(float).copy()
-            maxs = item.x.astype(float).copy()
-        else:
-            np.minimum(mins, item.x, out=mins)
-            np.maximum(maxs, item.x, out=maxs)
-    if mins is None:
-        raise ValueError("cannot fit a normalizer on an empty stream")
-    return Normalizer(mins, maxs)
-
-
-class ScaledStream(StreamSource):
-    """A stream source wrapped with a fitted or declared-range scaler."""
-
-    def __init__(self, base: StreamSource, normalizer: Normalizer):
-        self.base = base
-        self.normalizer = normalizer
-        self.n_features = base.n_features
-        self.n_classes = base.n_classes
-        self.length = base.length
-        self.drift_positions = tuple(base.drift_positions)
-
-    def __iter__(self) -> Iterator[Observation]:
-        for item in self.base:
-            yield self.normalizer.normalize(item)
-
-
-def scaled(source: StreamSource) -> StreamSource:
-    """Scale a stream into [0, 1] per feature.
+def scaled(source: StreamSource) -> Iterator[Observation]:
+    """Yield the stream's observations scaled into [0, 1] per feature.
 
     Sources that declare their feature ranges (synthetic generators) are
-    scaled by those fixed ranges with no data pass; anything else gets a
-    min-max fit over the full stream first.
+    scaled by those fixed ranges; anything else by the min and max of
+    its buffered features, so a ``BufferedStream`` is read only once.
     """
-    ranges = getattr(source, "feature_ranges", ())
-    if ranges:
-        norm = Normalizer.from_ranges(ranges)
+    if source.feature_ranges:
+        lo, hi = zip(*source.feature_ranges)
+        norm = Normalizer(lo, hi)
     else:
-        norm = fit_normalizer(source)
-    return ScaledStream(source, norm)
+        features = buffer_stream(source).features
+        norm = Normalizer(features.min(axis=0), features.max(axis=0))
+    for item in source:
+        yield norm.normalize(item)

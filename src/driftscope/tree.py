@@ -133,6 +133,16 @@ class ClusterNode:
             return self._diffs[: self.size]
         return np.concatenate((self._diffs[self._start :], self._diffs[: self._start]))
 
+    def subtree(self) -> Iterator[ClusterNode]:
+        """This node and every node below it, in preorder (left before right)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.left is not None:
+                stack.append(node.right)
+                stack.append(node.left)
+
 
 class AdaptiveClusterTree:
     """Streaming change detector over an adaptive cluster hierarchy.
@@ -175,15 +185,8 @@ class AdaptiveClusterTree:
         return node
 
     def iter_nodes(self) -> Iterator[ClusterNode]:
-        if self.root is None:
-            return
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.left is not None:
-                stack.append(node.right)
-                stack.append(node.left)
+        if self.root is not None:
+            yield from self.root.subtree()
 
     def iter_leaves(self) -> Iterator[ClusterNode]:
         for node in self.iter_nodes():
@@ -289,15 +292,7 @@ class AdaptiveClusterTree:
         """
         if node.is_leaf:
             raise ValueError("prune requires an internal node")
-        removed = 0
-        stack = [node.left, node.right]
-        while stack:
-            sub = stack.pop()
-            removed += 1
-            if sub.left is not None:
-                stack.append(sub.left)
-                stack.append(sub.right)
-        self.node_count -= removed
+        self.node_count -= sum(1 for _ in node.subtree()) - 1  # the node itself stays
         node.left = node.right = None
         return self.test_local_change(node, kind=KIND_PRUNE_RETEST)
 

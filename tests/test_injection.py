@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from driftscope.generators import DriftSchedule, SeaStream
+from driftscope.generators import SeaStream
 from driftscope.injection import mi_rank_features, mutual_information, permute_inject
 from driftscope.models import OnlineLogisticRegression
 from driftscope.stream import BufferedStream, buffer_stream
@@ -134,11 +134,6 @@ class TestPermuteInject:
     def test_ground_truth_positions_attached(self):
         injected = permute_inject(self._stream(), (500, 1200), seed=6)
         assert injected.drift_positions == (500, 1200)
-
-    def test_accepts_drift_schedule(self):
-        schedule = DriftSchedule(positions=(600,))
-        injected = permute_inject(self._stream(), schedule, seed=7)
-        assert injected.drift_positions == (600,)
 
     def test_deterministic_under_seed(self):
         base = self._stream()

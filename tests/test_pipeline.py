@@ -142,6 +142,21 @@ class TestRunDetection:
         result = run_detection(stream)
         assert result.steps == 599
 
+    def test_range_free_stream_is_read_once(self):
+        class CountingStream(BufferedStream):
+            passes = 0
+
+            def __iter__(self):
+                self.passes += 1
+                return super().__iter__()
+
+        rng = np.random.default_rng(13)
+        features = rng.normal(50.0, 20.0, size=(300, 3))
+        stream = CountingStream(features=features, labels=(features[:, 0] > 50.0).astype(np.int64))
+        result = run_detection(stream)
+        assert result.steps == 299
+        assert stream.passes == 1
+
     def test_model_predicts_each_observation_once(self, monkeypatch):
         calls = []
         predict = GaussianNaiveBayes.predict
