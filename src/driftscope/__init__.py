@@ -4,7 +4,6 @@ from .attribution import (
     AttributionTracker,
     AttributionVector,
     attribute_linear,
-    verify_local_accuracy,
 )
 from .baseline import EwmaBaseline
 from .config import DetectorConfig
@@ -59,5 +58,4 @@ __all__ = [
     "run_detection",
     "run_tracking",
     "score_alerts",
-    "verify_local_accuracy",
 ]

@@ -9,9 +9,10 @@ the margin moved, some part moved.
 
 The tracker keeps attributions for a set of pinned feature vectors and
 flags one as stale only when the cluster tree reassigns its vector to a
-different leaf or raises a local change alert at its leaf. The caller
-recomputes the flagged ones with whatever explainer it uses; everything
-else is reused as-is.
+different leaf or raises a local change alert at its leaf. It keeps the
+pinned vectors as one K x m matrix and routes every one of them through
+the tree in one batched pass per step. The caller recomputes the flagged
+ones with whatever explainer it uses; everything else is reused as-is.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ class AttributionVector:
         return self.phi0 + float(self.phi.sum())
 
 
-@dataclass
+@dataclass(eq=False)
 class AttributionRecord:
     """A tracked feature vector with its attribution history.
 
     ``history`` holds every computed vector (the initial one included),
     aligned with ``log`` entries of (step, reason); the stored
     attribution is the latest one. ``leaf_id`` is the tree leaf ``x``
-    was last routed to.
+    was last routed to. Records compare and hash by identity.
     """
 
     x: np.ndarray
@@ -99,13 +100,6 @@ def attribute_linear(model, x: np.ndarray, baseline_input: np.ndarray, t: int = 
     return AttributionVector(phi=phi, phi0=phi0, t=t)
 
 
-def verify_local_accuracy(model, x: np.ndarray, attribution: AttributionVector, tol: float = 1e-9) -> bool:
-    """Whether the attribution still adds up to the model's margin at x."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return abs(model.margin(np.asarray(x, dtype=float)) - attribution.total()) <= tol
-
-
 class AttributionTracker:
     """Flags tracked attributions that went stale, for any model.
 
@@ -114,29 +108,31 @@ class AttributionTracker:
     with that step's alerts. A record is stale when the tree routes its
     vector to a different leaf or raises a local alert at its leaf; a
     leaf change takes precedence when both apply at the same step.
-    Recomputing the stale attributions is the caller's job.
+    ``step`` routes all pinned vectors (rows of ``xs``, in record order)
+    in one ``find_leaves`` call; the caller recomputes stale records.
     """
 
     def __init__(self, tree: AdaptiveClusterTree):
         self.tree = tree
         self.records: list[AttributionRecord] = []
+        self.xs = np.empty((0, tree.n_features))
 
     def track(self, x: np.ndarray, vec: AttributionVector) -> AttributionRecord:
         record = AttributionRecord(x, self.tree.find_leaf(x).node_id)
         record.refresh(vec, REASON_INITIAL)
         self.records.append(record)
+        self.xs = np.vstack((self.xs, x))
         return record
 
     def step(self, alerts: list[DriftAlert]) -> list[tuple[AttributionRecord, str]]:
         """(record, reason) for each record gone stale, in record order."""
         alerted_leaves = {a.node_id for a in alerts if a.scope == SCOPE_LOCAL}
         stale = []
-        for record in self.records:
-            leaf_id = self.tree.find_leaf(record.x).node_id
-            if leaf_id != record.leaf_id:
-                record.leaf_id = leaf_id
+        for record, leaf in zip(self.records, self.tree.find_leaves(self.xs)):
+            if leaf.node_id != record.leaf_id:
+                record.leaf_id = leaf.node_id
                 stale.append((record, REASON_LEAF_CHANGE))
-            elif leaf_id in alerted_leaves:
+            elif leaf.node_id in alerted_leaves:
                 stale.append((record, REASON_LOCAL_ALERT))
         return stale
 

@@ -33,29 +33,6 @@ class TestResult:
     df: float
 
 
-def rbf_similarity(a: Sequence[float], b: Sequence[float], m: int | None = None) -> float:
-    """Similarity of two feature vectors under an RBF kernel.
-
-    Returns exp(-(1/m) * ||a - b||^2) where m is the number of features,
-    so identical vectors score 1 and the score decays with squared
-    distance. ``m`` defaults to the vector length.
-    """
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape or av.size == 0:
-        raise ValueError(
-            f"rbf_similarity needs two equal-length vectors, got shapes {av.shape} and {bv.shape}"
-        )
-    if m is None:
-        m = av.size
-    if m < 1:
-        raise ValueError(f"feature count m must be >= 1, got {m}")
-    if not (np.isfinite(av).all() and np.isfinite(bv).all()):
-        raise ValueError("rbf_similarity requires finite inputs")
-    d = av - bv
-    return math.exp(-float(d @ d) / m)
-
-
 def t_test_unpaired(sample_a: Sequence[float], sample_b: Sequence[float]) -> TestResult:
     """Two-sided unpaired t-test with pooled variance.
 

@@ -191,6 +191,9 @@ def run_tracking(
     pin_steps = set()
     if sample_size:
         pin_steps = {int(v) + 1 for v in rng.choice(prefix_end - 1, size=sample_size, replace=False)}
+    # each record's stored phi, by its row in tracker.xs
+    stored = np.empty((sample_size, stream.n_features))
+    row_of: dict = {}
     dev_sum = 0.0
     dev_count = 0
     oracle_min = np.inf
@@ -212,18 +215,21 @@ def run_tracking(
             stale = []
         for record, reason in stale:
             record.refresh(attribute_linear(clf, record.x, base_vec, t), reason)
+            stored[row_of[record]] = record.current.phi
         if t in pin_steps:
-            tracker.track(x, attribute_linear(clf, x, base_vec, t))
+            row = len(records)
+            vec = attribute_linear(clf, x, base_vec, t)
+            row_of[tracker.track(x, vec)] = row
+            stored[row] = vec.phi
         detector_seconds += time.perf_counter() - tick
-        if oracle:
-            for record in records:
-                oracle_phi = clf.weights * (record.x - base_vec)
-                lo = float(oracle_phi.min())
-                hi = float(oracle_phi.max())
-                oracle_min = lo if lo < oracle_min else oracle_min
-                oracle_max = hi if hi > oracle_max else oracle_max
-                dev_sum += float(np.abs(record.current.phi - oracle_phi).sum())
-                dev_count += oracle_phi.size
+        if oracle and records:
+            oracle_phi = clf.weights * (tracker.xs - base_vec)
+            oracle_min = min(oracle_min, float(oracle_phi.min()))
+            oracle_max = max(oracle_max, float(oracle_phi.max()))
+            # add the row sums one at a time in record order; summing them first would round differently
+            for row_sum in np.abs(stored[: len(records)] - oracle_phi).sum(axis=1).tolist():
+                dev_sum += row_sum
+            dev_count += oracle_phi.size
     total_seconds = time.perf_counter() - started
     last_t = stream.length - 1
     if records:

@@ -6,7 +6,9 @@ between the model's prediction and its baseline prediction. Leaves whose
 windows grow incoherent under an RBF similarity threshold split in two;
 branches starved of traffic are pruned by an age rule. Drift is tested
 locally per leaf (older window half vs newer half) and globally by
-combining the leaf-level p-values with Fisher's method.
+combining the leaf-level p-values with Fisher's method. Reads route a
+whole batch of vectors at once (``find_leaves``): the attribution
+tracker sends every pinned vector down the tree in one pass per step.
 """
 
 from __future__ import annotations
@@ -200,13 +202,33 @@ class AdaptiveClusterTree:
 
     def find_leaf(self, x: np.ndarray) -> ClusterNode:
         """Descend to the leaf whose centroid is most similar to x (ties go left)."""
+        return self.find_leaves(np.asarray(x, dtype=float)[None, :])[0]
+
+    def find_leaves(self, xs: np.ndarray) -> list[ClusterNode]:
+        """The leaf each row of the K x m matrix xs descends to, as ``find_leaf``.
+
+        All rows descend one level per pass, each to the nearer child of
+        its node (ties go left). Stacked row-by-row dot products round as
+        the write path's ``dl @ dl`` does, so near-ties go the same way.
+        """
         if self.root is None:
             raise ValueError("tree is empty; update it with an observation first")
-        x = np.asarray(x, dtype=float)
-        node = self.root
-        while node.left is not None:
-            node = self._nearer_child(node, x)
-        return node
+        xs = np.asarray(xs, dtype=float)
+        nodes = list(self.root.subtree())
+        pos = {node.node_id: i for i, node in enumerate(nodes)}
+        # children[i] = (left, right) positions; (0, 0) marks a leaf, since the root is no child
+        children = np.array(
+            [(0, 0) if n.left is None else (pos[n.left.node_id], pos[n.right.node_id]) for n in nodes]
+        )
+        centroids = np.array([node.centroid for node in nodes])
+        at = np.zeros(len(xs), dtype=np.intp)  # each row's node position
+        active = np.arange(len(xs))
+        while (active := active[children[at[active], 0] > 0]).size:
+            pair = children[at[active]]
+            d = xs[active][:, None, :] - centroids[pair]
+            d2 = np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
+            at[active] = np.where(d2[:, 0] <= d2[:, 1], pair[:, 0], pair[:, 1])
+        return [nodes[i] for i in at.tolist()]
 
     @staticmethod
     def _nearer_child(node: ClusterNode, x: np.ndarray) -> ClusterNode:

@@ -24,7 +24,6 @@ from driftscope.numerics import (
     chi2_survival,
     fisher_combine,
     reg_inc_beta,
-    rbf_similarity,
     t_test_unpaired,
 )
 from driftscope.pipeline import cdleeds_runner, ddm_runner, run_detection, run_tracking

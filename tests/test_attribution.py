@@ -12,7 +12,6 @@ from driftscope.attribution import (
     AttributionVector,
     attribute_linear,
     trace_rows,
-    verify_local_accuracy,
 )
 from driftscope.config import DetectorConfig
 from driftscope.models import GaussianNaiveBayes, OnlineLogisticRegression
@@ -74,6 +73,23 @@ class TestAttributeLinear:
             margin_after - margin_before, abs=1e-9
         )
 
+    def test_weight_perturbation_breaks_additivity(self):
+        # a stored attribution stops adding up once the model moves
+        model = _model([1.5, -0.5], 0.2)
+        x = np.array([0.9, 0.1])
+        vec = attribute_linear(model, x, np.array([0.5, 0.5]))
+        assert vec.total() == pytest.approx(model.margin(x), abs=1e-9)
+        model.weights[0] += 0.01
+        assert abs(vec.total() - model.margin(x)) > 1e-9
+
+    def test_zero_model_adds_up_anywhere(self):
+        model = _model([0.0, 0.0], 0.0)
+        x = np.array([3.0, -4.0])
+        vec = attribute_linear(model, x, np.array([1.0, 1.0]))
+        assert np.array_equal(vec.phi, np.zeros(2))
+        assert vec.phi0 == 0.0
+        assert vec.total() == model.margin(x) == 0.0
+
     def test_rejects_length_mismatch(self):
         model = _model([1.0, 2.0], 0.0)
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -83,34 +99,6 @@ class TestAttributeLinear:
         nb = GaussianNaiveBayes(n_features=2, n_classes=2)
         with pytest.raises(TypeError, match="linear model"):
             attribute_linear(nb, np.zeros(2), np.zeros(2))
-
-
-class TestVerifyLocalAccuracy:
-    def test_fresh_attribution_verifies(self):
-        model = _model([1.5, -0.5], 0.2)
-        x = np.array([0.9, 0.1])
-        vec = attribute_linear(model, x, np.array([0.5, 0.5]))
-        assert verify_local_accuracy(model, x, vec)
-
-    def test_weight_perturbation_breaks_verification(self):
-        model = _model([1.5, -0.5], 0.2)
-        x = np.array([0.9, 0.1])
-        vec = attribute_linear(model, x, np.array([0.5, 0.5]))
-        model.weights[0] += 0.01
-        assert not verify_local_accuracy(model, x, vec)
-
-    def test_zero_model_verifies_anywhere(self):
-        model = _model([0.0, 0.0], 0.0)
-        vec = attribute_linear(model, np.array([3.0, -4.0]), np.array([1.0, 1.0]))
-        assert np.array_equal(vec.phi, np.zeros(2))
-        assert vec.phi0 == 0.0
-        assert verify_local_accuracy(model, np.array([3.0, -4.0]), vec)
-
-    def test_rejects_nonpositive_tolerance(self):
-        model = _model([1.0], 0.0)
-        vec = attribute_linear(model, np.array([1.0]), np.array([0.0]))
-        with pytest.raises(ValueError, match="positive"):
-            verify_local_accuracy(model, np.array([1.0]), vec, tol=0.0)
 
 
 def _tracker(n_features=1, window=8):
@@ -207,6 +195,7 @@ class TestAttributionTracker:
         near = tracker.track(np.array([0.1]), _vec(0))
         far = tracker.track(np.array([0.9]), _vec(0))
         first = tracker.track(np.array([0.0]), _vec(0))
+        assert tracker.xs.tolist() == [[0.1], [0.9], [0.0]]
         tree.update(np.array([1.0]), 0.0, 1)  # the split moves every record
         assert [r for r, _ in tracker.step([])] == [near, far, first]
 

@@ -19,44 +19,8 @@ from driftscope.numerics import (
     corrected_alpha,
     fisher_combine,
     reg_inc_beta,
-    rbf_similarity,
     t_test_unpaired,
 )
-
-
-class TestRbfSimilarity:
-    def test_identical_vectors_score_one(self):
-        assert rbf_similarity([0.2, 0.4, 0.9], [0.2, 0.4, 0.9]) == 1.0
-
-    def test_unit_square_diagonal(self):
-        # m=2, a=(0,0), b=(1,1): exp(-(1/2)*2) = e^-1
-        assert rbf_similarity([0.0, 0.0], [1.0, 1.0]) == pytest.approx(0.36787944117144233, abs=1e-12)
-
-    def test_scalar_unit_distance(self):
-        assert rbf_similarity([0.0], [1.0]) == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-    def test_symmetry_and_range(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            m = rng.integers(1, 8)
-            a = rng.normal(size=m)
-            b = rng.normal(size=m)
-            s_ab = rbf_similarity(a, b)
-            s_ba = rbf_similarity(b, a)
-            assert s_ab == s_ba
-            assert 0.0 < s_ab <= 1.0
-            assert (s_ab == 1.0) == bool(np.all(a == b))
-
-    def test_explicit_m_parameter(self):
-        assert rbf_similarity([0.0], [2.0], m=4) == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            rbf_similarity([0.0, 1.0], [0.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            rbf_similarity([0.0, float("nan")], [0.0, 1.0])
 
 
 class TestTTest:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from driftscope.config import DetectorConfig
-from driftscope.numerics import rbf_similarity
 from driftscope.tree import (
     KIND_CHANGE_TEST,
     KIND_PRUNE_RETEST,
@@ -19,6 +18,20 @@ from driftscope.tree import (
 def _tree(m=1, gamma=0.95, alpha=0.01, window=8, max_age=1000, max_depth=5):
     config = DetectorConfig(gamma=gamma, alpha=alpha, window=window, max_age=max_age, max_depth=max_depth)
     return AdaptiveClusterTree(m, config)
+
+
+def _rbf_similarity(a, b):
+    """exp(-||a - b||^2 / m), the paper's similarity of two m-vectors."""
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return math.exp(-float(d @ d) / d.size)
+
+
+def _descend(tree, x):
+    """Reference read: the per-node routing of the update path."""
+    node = tree.root
+    while not node.is_leaf:
+        node = tree._nearer_child(node, x)
+    return node
 
 
 def _feed(tree, xs, diffs=None, t0=0):
@@ -91,10 +104,19 @@ class TestTreeGrowth:
 
     def test_split_condition_matches_similarity_threshold(self):
         # {0.0, 1.0} with centroid 0.5: sim = exp(-0.25) < 0.95 forces a split.
-        assert rbf_similarity([0.0], [0.5]) == pytest.approx(0.7788, abs=1e-4)
+        assert _rbf_similarity([0.0], [0.5]) == pytest.approx(0.7788, abs=1e-4)
         tree = _tree()
         _feed(tree, [0.0, 1.0])
         assert not tree.root.is_leaf
+        # the tree tests sim(a, b) < gamma as ||a - b||^2 > -m * ln(gamma)
+        rng = np.random.default_rng(8)
+        for m in (1, 2, 3, 9):
+            for gamma in (0.5, 0.9, 0.95, 0.99):
+                tree = _tree(m=m, gamma=gamma)
+                for _ in range(200):
+                    a, b = rng.uniform(0, 1, size=(2, m))
+                    d = a - b
+                    assert (_rbf_similarity(a, b) < gamma) == (float(d @ d) > tree._dist2_threshold)
 
     def test_coherent_window_does_not_split(self):
         tree = _tree()
@@ -129,15 +151,21 @@ class TestFindLeaf:
         _feed(tree, [0.0, 1.0])
         assert tree.find_leaf(np.array([0.1])) is tree.root.left
         assert tree.find_leaf(np.array([0.9])) is tree.root.right
+        assert tree.find_leaves(np.empty((0, 1))) == []
 
     def test_tie_goes_left(self):
         tree = _tree()
         _feed(tree, [0.0, 1.0])
         assert tree.find_leaf(np.array([0.5])) is tree.root.left
+        # the tie row goes left inside a batch too
+        batch = tree.find_leaves(np.array([[0.9], [0.5], [0.1], [0.5]]))
+        assert batch == [tree.root.right, tree.root.left, tree.root.left, tree.root.left]
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
             _tree().find_leaf(np.array([0.5]))
+        with pytest.raises(ValueError):
+            _tree().find_leaves(np.empty((0, 1)))
 
     def test_routing_matches_update_path(self):
         tree = _tree(m=2, window=8)
@@ -149,6 +177,11 @@ class TestFindLeaf:
             if target is not None and target.is_leaf:
                 # the observation must have landed in the predicted leaf
                 assert target._ts[(target._start + target.size - 1) % target._w] == t
+            # every row seen so far lands in one batch where it lands alone,
+            # and where the write path's per-node choice sends it
+            batch = tree.find_leaves(xs[: t + 1])
+            assert batch == [tree.find_leaf(row) for row in xs[: t + 1]]
+            assert batch == [_descend(tree, row) for row in xs[: t + 1]]
 
 
 class TestLocalChange:
