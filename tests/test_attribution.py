@@ -73,23 +73,6 @@ class TestAttributeLinear:
             margin_after - margin_before, abs=1e-9
         )
 
-    def test_weight_perturbation_breaks_additivity(self):
-        # a stored attribution stops adding up once the model moves
-        model = _model([1.5, -0.5], 0.2)
-        x = np.array([0.9, 0.1])
-        vec = attribute_linear(model, x, np.array([0.5, 0.5]))
-        assert vec.total() == pytest.approx(model.margin(x), abs=1e-9)
-        model.weights[0] += 0.01
-        assert abs(vec.total() - model.margin(x)) > 1e-9
-
-    def test_zero_model_adds_up_anywhere(self):
-        model = _model([0.0, 0.0], 0.0)
-        x = np.array([3.0, -4.0])
-        vec = attribute_linear(model, x, np.array([1.0, 1.0]))
-        assert np.array_equal(vec.phi, np.zeros(2))
-        assert vec.phi0 == 0.0
-        assert vec.total() == model.margin(x) == 0.0
-
     def test_rejects_length_mismatch(self):
         model = _model([1.0, 2.0], 0.0)
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -99,6 +82,30 @@ class TestAttributeLinear:
         nb = GaussianNaiveBayes(n_features=2, n_classes=2)
         with pytest.raises(TypeError, match="linear model"):
             attribute_linear(nb, np.zeros(2), np.zeros(2))
+
+
+class TestVerifyLocalAccuracy:
+    # local accuracy: a stored attribution adds up to the model's margin at x
+    def test_fresh_attribution_verifies(self):
+        model = _model([1.5, -0.5], 0.2)
+        x = np.array([0.9, 0.1])
+        vec = attribute_linear(model, x, np.array([0.5, 0.5]))
+        assert vec.total() == pytest.approx(model.margin(x), abs=1e-9)
+
+    def test_weight_perturbation_breaks_verification(self):
+        model = _model([1.5, -0.5], 0.2)
+        x = np.array([0.9, 0.1])
+        vec = attribute_linear(model, x, np.array([0.5, 0.5]))
+        model.weights[0] += 0.01
+        assert abs(vec.total() - model.margin(x)) > 1e-9
+
+    def test_zero_model_verifies_anywhere(self):
+        model = _model([0.0, 0.0], 0.0)
+        x = np.array([3.0, -4.0])
+        vec = attribute_linear(model, x, np.array([1.0, 1.0]))
+        assert np.array_equal(vec.phi, np.zeros(2))
+        assert vec.phi0 == 0.0
+        assert vec.total() == model.margin(x) == 0.0
 
 
 def _tracker(n_features=1, window=8):

@@ -2,7 +2,9 @@
 
 The special functions are checked against independent oracles
 (scipy / mpmath and a direct numerical integration of the t-density),
-never against themselves.
+never against themselves. The RBF similarity has no function of its
+own: the cluster tree tests it as a squared-distance threshold, which is
+checked here against the closed form.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from driftscope.config import DetectorConfig
 from driftscope.numerics import (
     P_VALUE_FLOOR,
     chi2_survival,
@@ -21,6 +24,68 @@ from driftscope.numerics import (
     reg_inc_beta,
     t_test_unpaired,
 )
+from driftscope.tree import AdaptiveClusterTree
+
+
+def _rbf_similarity(a, b, m=None):
+    """exp(-||a - b||^2 / m), the paper's similarity of two m-vectors."""
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return math.exp(-float(d @ d) / (d.size if m is None else m))
+
+
+def _dissimilar(a, b, gamma):
+    """The cluster tree's form of sim(a, b) < gamma: a squared-distance threshold."""
+    tree = AdaptiveClusterTree(len(a), DetectorConfig(gamma=gamma))
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return float(d @ d) > tree._dist2_threshold
+
+
+class TestRbfSimilarity:
+    def test_identical_vectors_score_one(self):
+        a = [0.2, 0.4, 0.9]
+        assert _rbf_similarity(a, a) == 1.0
+        assert not any(_dissimilar(a, a, gamma) for gamma in (0.01, 0.5, 0.95, 0.999999))
+
+    def test_unit_square_diagonal(self):
+        # m=2, a=(0,0), b=(1,1): exp(-(1/2)*2) = e^-1
+        assert _rbf_similarity([0.0, 0.0], [1.0, 1.0]) == pytest.approx(0.36787944117144233, abs=1e-12)
+        assert AdaptiveClusterTree(2, DetectorConfig(gamma=math.exp(-1.0)))._dist2_threshold == pytest.approx(2.0)
+        assert _dissimilar([0.0, 0.0], [1.0, 1.0], 0.37)
+        assert not _dissimilar([0.0, 0.0], [1.0, 1.0], 0.36)
+
+    def test_scalar_unit_distance(self):
+        assert _rbf_similarity([0.0], [1.0]) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert _dissimilar([0.0], [1.0], 0.37)
+        assert not _dissimilar([0.0], [1.0], 0.36)
+
+    def test_symmetry_and_range(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            m = int(rng.integers(1, 8))
+            a = rng.normal(size=m)
+            b = rng.normal(size=m)
+            s_ab = _rbf_similarity(a, b)
+            assert s_ab == _rbf_similarity(b, a)
+            assert 0.0 < s_ab <= 1.0
+            for gamma in (0.5, 0.9, 0.95, 0.99):
+                assert _dissimilar(a, b, gamma) == _dissimilar(b, a, gamma) == (s_ab < gamma)
+
+    def test_explicit_m_parameter(self):
+        # the tree's threshold -m * ln(gamma) grows with the feature count m
+        assert _rbf_similarity([0.0], [2.0], m=4) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        for m in (1, 2, 4, 9):
+            tree = AdaptiveClusterTree(m, DetectorConfig(gamma=math.exp(-1.0)))
+            assert tree._dist2_threshold == pytest.approx(m)
+
+    def test_rejects_mismatched_lengths(self):
+        tree = AdaptiveClusterTree(2, DetectorConfig())
+        with pytest.raises(ValueError):
+            tree.update(np.array([0.0]), 0.0, 0)
+
+    def test_rejects_non_finite(self):
+        tree = AdaptiveClusterTree(2, DetectorConfig())
+        with pytest.raises(ValueError):
+            tree.update(np.array([0.0, float("nan")]), 0.0, 0)
 
 
 class TestTTest:
