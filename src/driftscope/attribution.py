@@ -74,20 +74,16 @@ class AttributionRecord:
         return self.log[0][0]
 
 
-def _require_linear(model) -> None:
-    if not (hasattr(model, "weights") and hasattr(model, "bias") and hasattr(model, "margin")):
-        raise TypeError(
-            f"attribution needs a linear model with weights/bias/margin, got {type(model).__name__}"
-        )
-
-
 def attribute_linear(model, x: np.ndarray, baseline_input: np.ndarray, t: int = 0) -> AttributionVector:
     """Exact additive attribution of a linear model's margin.
 
     phi_j = w_j * (x_j - baseline_j) and phi0 = w . baseline + bias, so
     phi0 + sum(phi) recovers margin(x) up to rounding.
     """
-    _require_linear(model)
+    if not (hasattr(model, "weights") and hasattr(model, "bias") and hasattr(model, "margin")):
+        raise TypeError(
+            f"attribution needs a linear model with weights/bias/margin, got {type(model).__name__}"
+        )
     x = np.asarray(x, dtype=float)
     baseline_input = np.asarray(baseline_input, dtype=float)
     if x.shape != baseline_input.shape or x.shape != model.weights.shape:

@@ -83,10 +83,7 @@ def transition_probability(t: int, position: int, width: int) -> float:
     if width <= 0:
         return 1.0 if t >= position else 0.0
     z = -4.0 * (t - position) / width
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(min(z, 700.0)))
-    e = math.exp(max(z, -700.0))
-    return 1.0 / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(min(z, 700.0)))
 
 
 def _concept_index(schedule: DriftSchedule, t: int, rng: np.random.Generator) -> int:

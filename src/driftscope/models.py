@@ -1,10 +1,10 @@
 """Incrementally trained classifiers monitored by the detector.
 
 Both models follow the same two-call protocol used by the prequential
-loop: ``predict(x)`` first (test), then ``update(x, y)`` (train). The
-logistic model returns a positive-class probability; naive Bayes returns
-a posterior vector, and ``detector_input`` reduces either form to the
-scalar the change detector consumes.
+loop: ``predict(x)`` first (test), then ``update(x, y, prediction)``
+(train) with that same prediction. The logistic model returns a
+positive-class probability; naive Bayes returns a posterior vector, and
+``detector_input`` reduces either form to the scalar the detector uses.
 """
 
 from __future__ import annotations
@@ -44,11 +44,13 @@ class OnlineLogisticRegression:
         """Positive-class probability."""
         return _sigmoid(self.margin(x))
 
-    def update(self, x: np.ndarray, y: int) -> None:
-        """One gradient step on the log loss."""
+    def update(self, x: np.ndarray, y: int, prediction: float | None = None) -> None:
+        """One gradient step on the log loss; ``prediction`` is ``predict(x)`` if known."""
         if y not in (0, 1):
             raise ValueError(f"logistic regression expects binary labels, got {y}")
-        g = self.learning_rate * (self.predict(x) - y)
+        if prediction is None:
+            prediction = self.predict(x)
+        g = self.learning_rate * (prediction - y)
         self.weights -= g * np.asarray(x, dtype=float)
         self.bias -= g
 
@@ -59,7 +61,9 @@ class GaussianNaiveBayes:
     Per-class feature moments are maintained with Welford's recurrence,
     so long streams do not lose precision to catastrophic cancellation.
     Variances are sample variances (n-1 denominator) floored at
-    ``VARIANCE_FLOOR``; a class with one observation sits at the floor.
+    ``VARIANCE_FLOOR``; a class with fewer than two observations sits at
+    the floor. ``update`` refreshes its class's row of the cached variance
+    and ``log(2*pi*var)`` matrices, so ``predict`` is whole-matrix math.
     """
 
     def __init__(self, n_features: int, n_classes: int):
@@ -70,8 +74,10 @@ class GaussianNaiveBayes:
         self.counts = np.zeros(n_classes, dtype=np.int64)
         self.means = np.zeros((n_classes, n_features), dtype=float)
         self._m2 = np.zeros((n_classes, n_features), dtype=float)
+        self._var = np.full((n_classes, n_features), VARIANCE_FLOOR)
+        self._log_norm = np.log(2.0 * np.pi * self._var)
 
-    def update(self, x: np.ndarray, y: int) -> None:
+    def update(self, x: np.ndarray, y: int, prediction=None) -> None:
         if not 0 <= y < self.n_classes:
             raise ValueError(f"label {y} outside 0..{self.n_classes - 1}")
         x = np.asarray(x, dtype=float)
@@ -79,12 +85,12 @@ class GaussianNaiveBayes:
         delta = x - self.means[y]
         self.means[y] += delta / self.counts[y]
         self._m2[y] += delta * (x - self.means[y])
+        if self.counts[y] > 1:
+            self._var[y] = np.maximum(self._m2[y] / (self.counts[y] - 1), VARIANCE_FLOOR)
+            self._log_norm[y] = np.log(2.0 * np.pi * self._var[y])
 
     def variances(self, y: int) -> np.ndarray:
-        n = self.counts[y]
-        if n < 2:
-            return np.full(self.n_features, VARIANCE_FLOOR)
-        return np.maximum(self._m2[y] / (n - 1), VARIANCE_FLOOR)
+        return self._var[y].copy()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Posterior probability vector over all classes.
@@ -96,13 +102,10 @@ class GaussianNaiveBayes:
         if total == 0:
             raise ValueError("cannot predict before any training observation")
         x = np.asarray(x, dtype=float)
+        lls = -0.5 * (self._log_norm + (x - self.means) ** 2 / self._var).sum(axis=1)
         log_post = np.full(self.n_classes, -np.inf)
-        for k in range(self.n_classes):
-            if self.counts[k] == 0:
-                continue
-            var = self.variances(k)
-            ll = -0.5 * float(np.sum(np.log(2.0 * np.pi * var) + (x - self.means[k]) ** 2 / var))
-            log_post[k] = ll + math.log(self.counts[k] / total)
+        for k in np.flatnonzero(self.counts).tolist():
+            log_post[k] = lls[k] + math.log(self.counts[k] / total)
         shift = log_post - log_post.max()
         post = np.exp(shift)
         return post / post.sum()

@@ -126,35 +126,29 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
+def _nonzero(v: float) -> float:
+    """Lentz's guard: a denominator closer to zero than _FPMIN becomes _FPMIN."""
+    return _FPMIN if abs(v) < _FPMIN else v
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, evaluated by Lentz's method."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        d = _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        d = _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
         d = 1.0 / d
         delta = d * c
         h *= delta
@@ -212,12 +206,8 @@ def _gamma_cf(a: float, x: float) -> float:
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        d = _nonzero(an * d + b)
+        c = _nonzero(b + an / c)
         d = 1.0 / d
         delta = d * c
         h *= delta

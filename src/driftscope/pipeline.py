@@ -52,17 +52,17 @@ def _prequential(stream: StreamSource, clf, baseline: EwmaBaseline | None = None
     Yields ``(item, prediction)`` for every step t >= 1, where ``item``
     is the scaled observation and ``prediction`` the model's one
     prediction of ``item.x`` before it trains on ``item``; training
-    happens when the consumer asks for the next step. Step 0 only trains
-    the model and seeds ``baseline``.
+    happens when the consumer asks for the next step, and reuses that
+    prediction. Step 0 only trains the model and seeds ``baseline``.
     """
     for item in scaled(stream):
         x = item.x
-        if item.t == 0:
-            if baseline is not None:
-                baseline.update(x)
-        else:
-            yield item, clf.predict(x)
-        clf.update(x, item.y)
+        prediction = clf.predict(x) if item.t else None
+        if prediction is not None:
+            yield item, prediction
+        elif baseline is not None:
+            baseline.update(x)
+        clf.update(x, item.y, prediction)
 
 
 class _ChangeDetector:

@@ -32,6 +32,21 @@ KIND_PRUNE_RETEST = "prune-retest"
 _EXACT_SUM_EVERY = 4096
 
 
+def _farthest_pair(xs: np.ndarray) -> tuple[int, int]:
+    """The first pair i < j, in row-major order, of largest ``((xs[i] - xs[j])**2).sum()``."""
+    ys = xs / (np.abs(xs).max() or 1.0)  # entries in [-1, 1]: no square overflows
+    sq = (ys * ys).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (ys @ ys.T)
+    d2[np.tri(len(xs), dtype=bool)] = -np.inf  # keep i < j
+    # The Gram form errs by under 1e-14 * m * max ||y||^2, so every pair tying the exact
+    # maximum lies within this margin of the Gram maximum and is rechecked.
+    margin = 1e-10 * xs.shape[1] * float(sq.max())
+    i, j = np.nonzero(d2 >= d2.max() - margin)
+    d = xs[i] - xs[j]
+    k = int((d * d).sum(axis=1).argmax())
+    return int(i[k]), int(j[k])
+
+
 @dataclass(frozen=True)
 class DriftAlert:
     """A single detected change, local to one leaf or global."""
@@ -280,22 +295,22 @@ class AdaptiveClusterTree:
     def split_leaf(self, node: ClusterNode) -> list[DriftAlert]:
         """Split a leaf in two and replay its window into the children.
 
-        The two most dissimilar window observations (first such pair in
-        scan order on ties) seed the child centroids; each window triple
-        then runs through the nearer child's own update path, so child
-        centroids track their window means and a child may itself split.
-        Both children inherit the parent's age. The parent keeps its own
-        window and becomes internal.
+        The two most distant window observations (first such pair i < j in
+        arrival order on ties) seed the child centroids. One Gram product
+        ranks all pairs; those within its rounding margin of the top are
+        recomputed from their differences, so the pair is exactly the one
+        a full difference scan picks. Each window triple then runs through
+        the nearer child's own update path, so child centroids track their
+        window means and a child may itself split. Both children inherit
+        the parent's age. The parent keeps its own window and becomes
+        internal.
         """
         if not node.is_leaf:
             raise ValueError("split_leaf requires a leaf")
         xs, diffs, ts = node.entries_in_order()
         if len(xs) < 2:
             raise ValueError("cannot split a window with fewer than 2 observations")
-        deltas = xs[:, None, :] - xs[None, :, :]
-        d2 = (deltas * deltas).sum(axis=2)
-        d2[np.tril_indices(len(xs))] = -1.0  # scan upper triangle only
-        i, j = np.unravel_index(int(d2.argmax()), d2.shape)
+        i, j = _farthest_pair(xs)
         left = self._new_node(node.depth + 1, xs[i], age=node.age)
         right = self._new_node(node.depth + 1, xs[j], age=node.age)
         node.left, node.right = left, right

@@ -43,6 +43,12 @@ CASES = {
          "--positions", "1500", "--seed", "5"],
         DETECT_FILES,
     ),
+    # long enough for hundreds of leaf splits with replayed windows
+    "detect-agrawal-gnb-long": (
+        ["detect", "--kind", "agrawal", "--model", "gnb", "--length", "10000",
+         "--positions", "2500", "5000", "7500", "--seed", "5"],
+        DETECT_FILES,
+    ),
     "track-cdleeds": ([*TRACK, "--policy", "cdleeds"], TRACK_FILES),
     "track-always": ([*TRACK, "--policy", "always"], TRACK_FILES),
     "track-never": ([*TRACK, "--policy", "never"], TRACK_FILES),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,44 @@ class TestGaussianNaiveBayes:
         model = GaussianNaiveBayes(1, 2)
         with pytest.raises(ValueError):
             model.predict(np.array([0.0]))
+
+
+def _loop_predict(model, x):
+    """Reference posterior: one class at a time, variances from the moments."""
+    total = int(model.counts.sum())
+    log_post = np.full(model.n_classes, -np.inf)
+    for k in range(model.n_classes):
+        n = model.counts[k]
+        if n == 0:
+            continue
+        if n < 2:
+            var = np.full(model.n_features, VARIANCE_FLOOR)
+        else:
+            var = np.maximum(model._m2[k] / (n - 1), VARIANCE_FLOOR)
+        ll = -0.5 * float(np.sum(np.log(2.0 * np.pi * var) + (x - model.means[k]) ** 2 / var))
+        log_post[k] = ll + math.log(model.counts[k] / total)
+    post = np.exp(log_post - log_post.max())
+    return post / post.sum()
+
+
+class TestCachedNaiveBayes:
+    @pytest.mark.parametrize("n_classes", [2, 3, 5])
+    def test_predict_is_bit_identical_to_per_class_loop(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        m = 4
+        model = GaussianNaiveBayes(m, n_classes)
+        pool = max(n_classes - 2, 1)  # labels come from 0..pool-1; class pool is never seen
+        once = n_classes - 1  # seen exactly once, halfway, so it sits at the variance floor
+        for step in range(3000):
+            x = rng.random(m) * rng.choice([1.0, 10.0])
+            y = once if step == 1500 else int(rng.integers(0, pool))
+            model.update(x, y)
+            probe = rng.random(m) * 10.0
+            assert np.array_equal(model.predict(probe), _loop_predict(model, probe)), step
+            assert np.array_equal(model.predict(x), _loop_predict(model, x)), step
+        assert model.counts[once] == 1
+        if n_classes > 2:
+            assert model.counts[pool] == 0
 
 
 class TestDetectorInput:

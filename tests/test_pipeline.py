@@ -167,6 +167,16 @@ class TestRunDetection:
         # one prediction of the observation, one of the baseline input
         assert len(calls) == 2 * result.steps
 
+    def test_logreg_trains_on_the_engine_prediction(self, monkeypatch):
+        calls = []
+        predict = OnlineLogisticRegression.predict
+        monkeypatch.setattr(
+            OnlineLogisticRegression, "predict", lambda model, x: calls.append(1) or predict(model, x)
+        )
+        result = run_detection(_sea(300, seed=6), model="logreg")
+        # two predictions a step as for gnb; training at step 0 has no prediction to reuse
+        assert len(calls) == 2 * result.steps + 1
+
     def test_invalid_setting_names_field(self):
         with pytest.raises(ValueError, match="'window'"):
             run_detection(_sea(300), window=5)

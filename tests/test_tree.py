@@ -12,6 +12,7 @@ from driftscope.tree import (
     SCOPE_GLOBAL,
     SCOPE_LOCAL,
     AdaptiveClusterTree,
+    _farthest_pair,
 )
 
 
@@ -129,6 +130,48 @@ class TestTreeGrowth:
         tree = _tree(m=2)
         with pytest.raises(ValueError):
             tree.update(np.array([0.5]), 0.0, 0)
+
+
+def _scan_farthest_pair(xs):
+    """Reference seed pair: the full w x w x m difference scan."""
+    deltas = xs[:, None, :] - xs[None, :, :]
+    d2 = (deltas * deltas).sum(axis=2)
+    d2[np.tril_indices(len(xs))] = -1.0
+    i, j = np.unravel_index(int(d2.argmax()), d2.shape)
+    return int(i), int(j)
+
+
+class TestFarthestPair:
+    @pytest.mark.parametrize("m", [1, 3, 9])
+    def test_matches_full_scan(self, m):
+        rng = np.random.default_rng(m)
+        for trial in range(100):
+            w = 2 if trial % 10 == 0 else int(rng.integers(2, 201))
+            kind = trial % 6
+            if kind == 0:  # continuous
+                xs = rng.random((w, m))
+            elif kind == 1:  # a few grid values: many exact ties
+                xs = rng.integers(0, 3, size=(w, m)) / 2.0
+            elif kind == 2:  # all rows identical: every pair ties at 0
+                xs = np.tile(rng.random(m), (w, 1))
+            elif kind == 3:  # far outside the unit box
+                xs = rng.random((w, m)) * 1e3
+            elif kind == 4:  # exact ties outside the unit box, inexact Gram entries
+                xs = rng.choice([0.1, 0.7, 1.3], size=(w, m)) * 1e3 / 3.0
+            else:  # near ties: distances a hair apart, closer than the Gram margin
+                xs = rng.integers(0, 3, size=(w, m)) / 2.0 + rng.random((w, m)) * 1e-12
+            assert _farthest_pair(xs) == _scan_farthest_pair(xs), (trial, w, kind)
+
+    def test_rows_too_large_to_square(self):
+        xs = np.random.default_rng(0).random((50, 3)) * 1e200
+        with np.errstate(over="ignore"):  # the exact differences square to inf, as in a full scan
+            i, j = _farthest_pair(xs)
+        assert 0 <= i < j < 50
+
+    def test_first_tied_pair_in_row_major_order(self):
+        xs = np.array([[0.0], [1.0], [0.0], [1.0]])
+        assert _farthest_pair(xs) == (0, 1)
+        assert _farthest_pair(np.zeros((5, 2))) == (0, 1)
 
 
 class TestFindLeaf:
