@@ -9,15 +9,15 @@ the margin moved, some part moved.
 
 The tracker keeps attributions for a set of pinned feature vectors and
 flags one as stale only when the cluster tree reassigns its vector to a
-different leaf or raises a local change alert at its leaf. It keeps the
-pinned vectors as one K x m matrix and routes every one of them through
-the tree in one batched pass per step. The caller recomputes the flagged
-ones with whatever explainer it uses; everything else is reused as-is.
+different leaf or raises a local change alert at its leaf. It keeps one
+row per pinned vector, in pin order, and routes every row through the
+tree in one batched pass per step. The caller recomputes the flagged
+rows with whatever explainer it uses; everything else is reused as-is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,39 +39,6 @@ class AttributionVector:
 
     def total(self) -> float:
         return self.phi0 + float(self.phi.sum())
-
-
-@dataclass(eq=False)
-class AttributionRecord:
-    """A tracked feature vector with its attribution history.
-
-    ``history`` holds every computed vector (the initial one included),
-    aligned with ``log`` entries of (step, reason); the stored
-    attribution is the latest one. ``leaf_id`` is the tree leaf ``x``
-    was last routed to. Records compare and hash by identity.
-    """
-
-    x: np.ndarray
-    leaf_id: int
-    log: list[tuple[int, str]] = field(default_factory=list, init=False)
-    history: list[AttributionVector] = field(default_factory=list, init=False)
-
-    def refresh(self, vec: AttributionVector, reason: str) -> None:
-        """Store ``vec``, computed at step ``vec.t`` for ``reason``."""
-        self.log.append((vec.t, reason))
-        self.history.append(vec)
-
-    @property
-    def current(self) -> AttributionVector:
-        return self.history[-1]
-
-    @property
-    def recompute_count(self) -> int:
-        return len(self.log)
-
-    @property
-    def start_t(self) -> int:
-        return self.log[0][0]
 
 
 def attribute_linear(model, x: np.ndarray, baseline_input: np.ndarray, t: int = 0) -> AttributionVector:
@@ -99,47 +66,55 @@ def attribute_linear(model, x: np.ndarray, baseline_input: np.ndarray, t: int = 
 class AttributionTracker:
     """Flags tracked attributions that went stale, for any model.
 
-    Call ``track`` to pin a feature vector with its initial attribution
-    and ``step`` once per time step, after the tree has been updated,
-    with that step's alerts. A record is stale when the tree routes its
-    vector to a different leaf or raises a local alert at its leaf; a
-    leaf change takes precedence when both apply at the same step.
-    ``step`` routes all pinned vectors (rows of ``xs``, in record order)
-    in one ``find_leaves`` call; the caller recomputes stale records.
+    ``track`` pins a feature vector with its initial attribution and
+    returns its row: ``xs[row]``, its stored phi ``phis[row]``, the leaf
+    ``leaf_ids[row]`` it was last routed to, and ``history[row]``, every
+    ``(reason, vector)`` stored for it in step order. Call ``step`` once
+    per time step, after the tree has been updated, with that step's
+    alerts. A row is stale when the tree routes its vector to a different
+    leaf or raises a local alert at its leaf; a leaf change takes
+    precedence when both apply at the same step. The caller recomputes
+    stale rows and stores them with ``refresh``.
     """
 
     def __init__(self, tree: AdaptiveClusterTree):
         self.tree = tree
-        self.records: list[AttributionRecord] = []
         self.xs = np.empty((0, tree.n_features))
+        self.phis = np.empty((0, tree.n_features))
+        self.leaf_ids: list[int] = []
+        self.history: list[list[tuple[str, AttributionVector]]] = []
 
-    def track(self, x: np.ndarray, vec: AttributionVector) -> AttributionRecord:
-        record = AttributionRecord(x, self.tree.find_leaf(x).node_id)
-        record.refresh(vec, REASON_INITIAL)
-        self.records.append(record)
+    def track(self, x: np.ndarray, vec: AttributionVector) -> int:
+        self.leaf_ids.append(self.tree.find_leaf(x).node_id)
         self.xs = np.vstack((self.xs, x))
-        return record
+        self.phis = np.vstack((self.phis, vec.phi))
+        self.history.append([(REASON_INITIAL, vec)])
+        return len(self.history) - 1
 
-    def step(self, alerts: list[DriftAlert]) -> list[tuple[AttributionRecord, str]]:
-        """(record, reason) for each record gone stale, in record order."""
+    def refresh(self, row: int, vec: AttributionVector, reason: str) -> None:
+        """Store ``vec``, computed at step ``vec.t`` for ``reason``, as the row's phi."""
+        self.phis[row] = vec.phi
+        self.history[row].append((reason, vec))
+
+    def step(self, alerts: list[DriftAlert]) -> list[tuple[int, str]]:
+        """(row, reason) for each row gone stale, in row order."""
         alerted_leaves = {a.node_id for a in alerts if a.scope == SCOPE_LOCAL}
         stale = []
-        for record, leaf in zip(self.records, self.tree.find_leaves(self.xs)):
-            if leaf.node_id != record.leaf_id:
-                record.leaf_id = leaf.node_id
-                stale.append((record, REASON_LEAF_CHANGE))
+        for row, leaf in enumerate(self.tree.find_leaves(self.xs)):
+            if leaf.node_id != self.leaf_ids[row]:
+                self.leaf_ids[row] = leaf.node_id
+                stale.append((row, REASON_LEAF_CHANGE))
             elif leaf.node_id in alerted_leaves:
-                stale.append((record, REASON_LOCAL_ALERT))
+                stale.append((row, REASON_LOCAL_ALERT))
         return stale
 
+    def trace_rows(self):
+        """Flatten the stored attributions for CSV export.
 
-def trace_rows(records: list[AttributionRecord]):
-    """Flatten recompute events for CSV export.
-
-    Yields (t, record_index, feature_index, phi, reason) rows, one per
-    feature per recompute event, in step order within each record.
-    """
-    for i, record in enumerate(records):
-        for (t, reason), vec in zip(record.log, record.history):
-            for j, value in enumerate(vec.phi):
-                yield (t, i, j, float(value), reason)
+        Yields (t, row, feature_index, phi, reason) rows, one per feature
+        per stored vector, row by row and in step order within a row.
+        """
+        for row, events in enumerate(self.history):
+            for reason, vec in events:
+                for j, value in enumerate(vec.phi):
+                    yield (vec.t, row, j, float(value), reason)

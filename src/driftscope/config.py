@@ -23,6 +23,11 @@ def _require(condition: bool, field: str, message: str):
         raise ValueError(f"config field {field!r}: {message}")
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """``isinstance(value, kind)``, except that a JSON ``true``/``false`` is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """The monitored model and the change detector's settings, checked once.
@@ -59,24 +64,24 @@ class DetectorConfig:
         model = self.model
         _require(model in MODEL_KINDS, "model", f"must be 'logreg' or 'gnb', got {model!r}")
         lr = self.learning_rate
-        _require(isinstance(lr, (int, float)) and lr >= 0.0, "learning_rate", f"must be >= 0, got {lr!r}")
+        _require(_is_number(lr) and lr >= 0.0, "learning_rate", f"must be >= 0, got {lr!r}")
         gamma = self.gamma
-        _require(isinstance(gamma, (int, float)) and 0.0 < gamma < 1.0, "gamma", f"must lie in (0, 1), got {gamma!r}")
+        _require(_is_number(gamma) and 0.0 < gamma < 1.0, "gamma", f"must lie in (0, 1), got {gamma!r}")
         alpha = self.alpha
-        _require(isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0, "alpha", f"must lie in (0, 1), got {alpha!r}")
+        _require(_is_number(alpha) and 0.0 < alpha < 1.0, "alpha", f"must lie in (0, 1), got {alpha!r}")
         beta = self.beta
-        _require(isinstance(beta, (int, float)) and 0.0 <= beta <= 1.0, "beta", f"must lie in [0, 1], got {beta!r}")
+        _require(_is_number(beta) and 0.0 <= beta <= 1.0, "beta", f"must lie in [0, 1], got {beta!r}")
         window = self.window
         _require(
-            isinstance(window, int) and not isinstance(window, bool) and window >= 4 and window % 2 == 0,
+            _is_number(window, int) and window >= 4 and window % 2 == 0,
             "window",
             f"must be an even integer >= 4, got {window!r}",
         )
         max_age = self.max_age
-        _require(isinstance(max_age, int) and max_age >= 1, "max_age", f"must be an integer >= 1, got {max_age!r}")
+        _require(_is_number(max_age, int) and max_age >= 1, "max_age", f"must be an integer >= 1, got {max_age!r}")
         max_depth = self.max_depth
         _require(
-            max_depth is None or (isinstance(max_depth, int) and max_depth >= 0),
+            max_depth is None or (_is_number(max_depth, int) and max_depth >= 0),
             "max_depth",
             f"must be a nonnegative integer or null, got {max_depth!r}",
         )
@@ -140,14 +145,14 @@ def validate_config(cfg: dict) -> dict:
     """Check the detector and run invariants, naming the offending field."""
     DetectorConfig(**detector_settings(cfg))
     seed = cfg.get("seed")
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "seed", f"must be an integer, got {seed!r}")
+    _require(_is_number(seed, int), "seed", f"must be an integer, got {seed!r}")
     warmup = cfg.get("warmup")
-    _require(isinstance(warmup, int) and warmup >= 0, "warmup", f"must be an integer >= 0, got {warmup!r}")
+    _require(_is_number(warmup, int) and warmup >= 0, "warmup", f"must be an integer >= 0, got {warmup!r}")
     fractions = cfg.get("interval_fractions")
     _require(
         isinstance(fractions, (list, tuple))
         and len(fractions) > 0
-        and all(isinstance(f, (int, float)) and 0.0 < f <= 1.0 for f in fractions),
+        and all(_is_number(f) and 0.0 < f <= 1.0 for f in fractions),
         "interval_fractions",
         f"must be a non-empty list of fractions in (0, 1], got {fractions!r}",
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import REASON_EVERY_STEP, AttributionTracker, attribute_linear, trace_rows
+from .attribution import REASON_EVERY_STEP, AttributionTracker, attribute_linear
 from .baseline import EwmaBaseline
 from .config import MODEL_KINDS, DetectorConfig
 from .evaluation import DetectorRunner, DdmDetector, STATUS_DRIFT
@@ -166,8 +166,8 @@ def run_tracking(
     model up) and their stored attributions are refreshed according to
     ``policy``: when the tracker flags them stale (leaf change or local
     alert), every step, or never. With ``oracle`` on, the always-recompute
-    attribution of every tracked observation is computed each step and
-    the deviation of the stored attributions from it is accumulated
+    attribution of every tracked row is computed each step and the
+    deviation of the tracker's stored ``phis`` from it is accumulated
     streamingly. ``settings`` are ``DetectorConfig`` fields; the model
     must be the linear ``logreg``.
     """
@@ -186,14 +186,10 @@ def run_tracking(
     detector = _ChangeDetector(config, stream)
     clf = detector.clf
     tracker = AttributionTracker(detector.tree)
-    records = tracker.records
     rng = np.random.default_rng(seed)
     pin_steps = set()
     if sample_size:
         pin_steps = {int(v) + 1 for v in rng.choice(prefix_end - 1, size=sample_size, replace=False)}
-    # each record's stored phi, by its row in tracker.xs
-    stored = np.empty((sample_size, stream.n_features))
-    row_of: dict = {}
     dev_sum = 0.0
     dev_count = 0
     oracle_min = np.inf
@@ -208,32 +204,28 @@ def run_tracking(
         alerts = detector.detect(x, prediction, t)
         base_vec = detector.baseline.ewma
         if policy == "always":
-            stale = [(record, REASON_EVERY_STEP) for record in records]
-        elif policy == "cdleeds" and records:
+            stale = [(row, REASON_EVERY_STEP) for row in range(len(tracker.history))]
+        elif policy == "cdleeds" and tracker.history:
             stale = tracker.step(alerts)
         else:
             stale = []
-        for record, reason in stale:
-            record.refresh(attribute_linear(clf, record.x, base_vec, t), reason)
-            stored[row_of[record]] = record.current.phi
+        for row, reason in stale:
+            tracker.refresh(row, attribute_linear(clf, tracker.xs[row], base_vec, t), reason)
         if t in pin_steps:
-            row = len(records)
-            vec = attribute_linear(clf, x, base_vec, t)
-            row_of[tracker.track(x, vec)] = row
-            stored[row] = vec.phi
+            tracker.track(x, attribute_linear(clf, x, base_vec, t))
         detector_seconds += time.perf_counter() - tick
-        if oracle and records:
+        if oracle and tracker.history:
             oracle_phi = clf.weights * (tracker.xs - base_vec)
             oracle_min = min(oracle_min, float(oracle_phi.min()))
             oracle_max = max(oracle_max, float(oracle_phi.max()))
-            # add the row sums one at a time in record order; summing them first would round differently
-            for row_sum in np.abs(stored[: len(records)] - oracle_phi).sum(axis=1).tolist():
+            # add the row sums one at a time in row order; summing them first would round differently
+            for row_sum in np.abs(tracker.phis - oracle_phi).sum(axis=1).tolist():
                 dev_sum += row_sum
             dev_count += oracle_phi.size
     total_seconds = time.perf_counter() - started
     last_t = stream.length - 1
-    if records:
-        reductions = [1.0 - r.recompute_count / (last_t - r.start_t + 1) for r in records]
+    if tracker.history:
+        reductions = [1.0 - len(events) / (last_t - events[0][1].t + 1) for events in tracker.history]
         reduction_pct = 100.0 * float(np.mean(reductions))
     else:
         reduction_pct = None
@@ -249,7 +241,7 @@ def run_tracking(
         mean_abs_deviation=mean_abs_deviation,
         oracle_range=oracle_range,
         deviation_pct_of_range=deviation_pct_of_range,
-        trace=tuple(trace_rows(records)),
+        trace=tuple(tracker.trace_rows()),
         mean_update_seconds=detector_seconds / steps if steps else 0.0,
         total_seconds=total_seconds,
     )

@@ -6,8 +6,9 @@ between the model's prediction and its baseline prediction. Leaves whose
 windows grow incoherent under an RBF similarity threshold split in two;
 branches starved of traffic are pruned by an age rule. Drift is tested
 locally per leaf (older window half vs newer half) and globally by
-combining the leaf-level p-values with Fisher's method. Reads route a
-whole batch of vectors at once (``find_leaves``): the attribution
+combining the leaf-level p-values with Fisher's method. The nodes live
+in one preorder list, which the global test and batched reads walk. Reads
+route a whole batch of vectors at once (``find_leaves``): the attribution
 tracker sends every pinned vector down the tree in one pass per step.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -150,16 +150,6 @@ class ClusterNode:
             return self._diffs[: self.size]
         return np.concatenate((self._diffs[self._start :], self._diffs[: self._start]))
 
-    def subtree(self) -> Iterator[ClusterNode]:
-        """This node and every node below it, in preorder (left before right)."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.left is not None:
-                stack.append(node.right)
-                stack.append(node.left)
-
 
 class AdaptiveClusterTree:
     """Streaming change detector over an adaptive cluster hierarchy.
@@ -167,7 +157,8 @@ class AdaptiveClusterTree:
     ``n_features`` is the input dimensionality (inputs are expected
     scaled to [0, 1]); ``config`` supplies ``gamma``, ``alpha``,
     ``window``, ``max_age`` and ``max_depth``, documented and checked by
-    ``DetectorConfig``.
+    ``DetectorConfig``. ``nodes`` holds every node in preorder (left
+    before right), the order in which Fisher's method sums leaf p-values.
     """
 
     def __init__(self, n_features: int, config: DetectorConfig = DetectorConfig()):
@@ -179,8 +170,7 @@ class AdaptiveClusterTree:
         self.window = config.window
         self.max_age = config.max_age
         self.max_depth = config.max_depth
-        self.root: ClusterNode | None = None
-        self.node_count = 0
+        self.nodes: list[ClusterNode] = []
         self.local_tests_run = 0
         self.local_alerts_raised = 0
         self.global_tests_run = 0
@@ -198,21 +188,19 @@ class AdaptiveClusterTree:
     def _new_node(self, depth: int, seed: np.ndarray, age: int = 0) -> ClusterNode:
         node = ClusterNode(self._next_id, depth, self.window, self.n_features, seed, age)
         self._next_id += 1
-        self.node_count += 1
         return node
 
-    def iter_nodes(self) -> Iterator[ClusterNode]:
-        if self.root is not None:
-            yield from self.root.subtree()
+    @property
+    def root(self) -> ClusterNode | None:
+        return self.nodes[0] if self.nodes else None
 
-    def iter_leaves(self) -> Iterator[ClusterNode]:
-        for node in self.iter_nodes():
-            if node.is_leaf:
-                yield node
+    @property
+    def node_count(self) -> int:
+        return len(self.nodes)
 
     @property
     def leaf_count(self) -> int:
-        # splits add two children, prunes drop whole subtrees: the tree stays full binary
+        # splits add two children, prunes drop whole branches: the tree stays full binary
         return (self.node_count + 1) // 2
 
     def find_leaf(self, x: np.ndarray) -> ClusterNode:
@@ -226,10 +214,12 @@ class AdaptiveClusterTree:
         its node (ties go left). Stacked row-by-row dot products round as
         the write path's ``dl @ dl`` does, so near-ties go the same way.
         """
-        if self.root is None:
+        nodes = self.nodes
+        if not nodes:
             raise ValueError("tree is empty; update it with an observation first")
         xs = np.asarray(xs, dtype=float)
-        nodes = list(self.root.subtree())
+        if xs.ndim != 2 or xs.shape[1] != self.n_features:
+            raise ValueError(f"expected a matrix of shape (K, {self.n_features}), got {xs.shape}")
         pos = {node.node_id: i for i, node in enumerate(nodes)}
         # children[i] = (left, right) positions; (0, 0) marks a leaf, since the root is no child
         children = np.array(
@@ -264,10 +254,10 @@ class AdaptiveClusterTree:
             raise ValueError("update requires finite inputs")
         if self._last_t is not None and t <= self._last_t:
             raise ValueError(f"time steps must be strictly increasing, got {t} after {self._last_t}")
-        if self.root is None:
-            self.root = self._new_node(0, x)
+        if not self.nodes:
+            self.nodes.append(self._new_node(0, x))
         alerts: list[DriftAlert] = []
-        self._update_node(self.root, x, diff, t, alerts)
+        self._update_node(self.nodes[0], x, diff, t, alerts)
         self._last_t = t
         return alerts
 
@@ -302,8 +292,8 @@ class AdaptiveClusterTree:
         a full difference scan picks. Each window triple then runs through
         the nearer child's own update path, so child centroids track their
         window means and a child may itself split. Both children inherit
-        the parent's age. The parent keeps its own window and becomes
-        internal.
+        the parent's age and enter ``nodes`` right after it, before the
+        replay. The parent keeps its own window and becomes internal.
         """
         if not node.is_leaf:
             raise ValueError("split_leaf requires a leaf")
@@ -314,6 +304,8 @@ class AdaptiveClusterTree:
         left = self._new_node(node.depth + 1, xs[i], age=node.age)
         right = self._new_node(node.depth + 1, xs[j], age=node.age)
         node.left, node.right = left, right
+        at = self.nodes.index(node) + 1
+        self.nodes[at:at] = [left, right]
         alerts: list[DriftAlert] = []
         for k in range(len(xs)):
             child = self._nearer_child(node, xs[k])
@@ -322,14 +314,17 @@ class AdaptiveClusterTree:
         return alerts
 
     def prune(self, node: ClusterNode) -> DriftAlert | None:
-        """Drop the subtree below a node and retest it as a leaf.
+        """Drop every node below a node and retest it as a leaf.
 
         The node keeps its own window, so change that may have been
         hidden by a stale branch is tested immediately.
         """
         if node.is_leaf:
             raise ValueError("prune requires an internal node")
-        self.node_count -= sum(1 for _ in node.subtree()) - 1  # the node itself stays
+        start = end = self.nodes.index(node) + 1
+        while end < len(self.nodes) and self.nodes[end].depth > node.depth:
+            end += 1
+        del self.nodes[start:end]
         node.left = node.right = None
         return self.test_local_change(node, kind=KIND_PRUNE_RETEST)
 
@@ -374,14 +369,14 @@ class AdaptiveClusterTree:
         After a global alert, global testing pauses for one window
         length of observations.
         """
-        if self.root is None or self._last_t is None:
+        if self._last_t is None:
             return None
         if self._last_t <= self._suppress_until:
             return None
         ps = [
-            leaf.last_p
-            for leaf in self.iter_leaves()
-            if leaf.size == self.window and leaf.last_p is not None
+            node.last_p
+            for node in self.nodes
+            if node.is_leaf and node.size == self.window and node.last_p is not None
         ]
         if not ps:
             return None

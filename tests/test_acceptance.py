@@ -195,7 +195,7 @@ class TestAcceptance:
             entries = 0
             n_nodes = 0
             n_leaves = 0
-            for node in tree.iter_nodes():
+            for node in tree.nodes:
                 n_nodes += 1
                 n_leaves += node.is_leaf
                 entries += node.size

@@ -7,11 +7,9 @@ from driftscope.attribution import (
     REASON_INITIAL,
     REASON_LEAF_CHANGE,
     REASON_LOCAL_ALERT,
-    AttributionRecord,
     AttributionTracker,
     AttributionVector,
     attribute_linear,
-    trace_rows,
 )
 from driftscope.config import DetectorConfig
 from driftscope.models import GaussianNaiveBayes, OnlineLogisticRegression
@@ -121,90 +119,89 @@ class TestAttributionTracker:
     def test_initial_computation_is_logged(self):
         tracker, tree = _tracker()
         tree.update(np.array([0.5]), 0.0, 0)
-        vec = _vec(0)
-        record = tracker.track(np.array([0.5]), vec)
-        assert tracker.records == [record]
-        assert record.log == [(0, REASON_INITIAL)]
-        assert record.history == [vec]
-        assert record.current is vec
-        assert record.recompute_count == 1
-        assert record.leaf_id == tree.find_leaf(np.array([0.5])).node_id
+        vec = AttributionVector(phi=np.array([0.25]), phi0=0.0, t=0)
+        assert tracker.track(np.array([0.5]), vec) == 0
+        assert tracker.xs.tolist() == [[0.5]]
+        assert tracker.phis.tolist() == [[0.25]]
+        assert tracker.history == [[(REASON_INITIAL, vec)]]
+        assert tracker.history[0][-1][1] is vec
+        assert tracker.leaf_ids == [tree.find_leaf(np.array([0.5])).node_id]
 
     def test_stationary_stream_never_recomputes(self):
         tracker, tree = _tracker(window=8)
         tree.update(np.array([0.5]), 0.0, 0)
-        record = tracker.track(np.array([0.5]), _vec(0))
-        leaf_id = record.leaf_id
+        row = tracker.track(np.array([0.5]), _vec(0))
+        leaf_ids = list(tracker.leaf_ids)
         for t in range(1, 60):
             alerts = tree.update(np.array([0.5]), 0.0, t)
             assert tracker.step(alerts) == []
-        assert record.leaf_id == leaf_id
-        assert record.log == [(0, REASON_INITIAL)]
+        assert tracker.leaf_ids == leaf_ids
+        assert [reason for reason, _ in tracker.history[row]] == [REASON_INITIAL]
 
     def test_split_triggers_leaf_change(self):
         tracker, tree = _tracker(window=8)
         tree.update(np.array([0.0]), 0.0, 0)
-        record = tracker.track(np.array([0.0]), _vec(0))
-        old_leaf = record.leaf_id
+        row = tracker.track(np.array([0.0]), _vec(0))
+        old_leaf = tracker.leaf_ids[row]
         alerts = tree.update(np.array([1.0]), 0.0, 1)  # far point forces a split
-        assert tracker.step(alerts) == [(record, REASON_LEAF_CHANGE)]
-        assert record.leaf_id != old_leaf
-        assert record.leaf_id == tree.find_leaf(np.array([0.0])).node_id
-        # flagging is not refreshing: only the caller adds to the log
-        assert record.log == [(0, REASON_INITIAL)]
+        assert tracker.step(alerts) == [(row, REASON_LEAF_CHANGE)]
+        assert tracker.leaf_ids[row] != old_leaf
+        assert tracker.leaf_ids[row] == tree.find_leaf(np.array([0.0])).node_id
+        # flagging is not refreshing: only the caller's refresh stores a vector
+        assert [reason for reason, _ in tracker.history[row]] == [REASON_INITIAL]
         assert tracker.step([]) == []
 
     def test_local_alert_triggers_recompute(self):
         tracker, tree = _tracker(window=4)
         diffs = [0.0, 0.0, 5.0, 5.0]
         tree.update(np.array([0.5]), diffs[0], 0)
-        record = tracker.track(np.array([0.5]), _vec(0))
+        row = tracker.track(np.array([0.5]), _vec(0))
         flagged = []
         logged = []
         for t in range(1, 4):
             alerts = tree.update(np.array([0.5]), diffs[t], t)
-            flagged.extend((t, reason) for _, reason in tracker.step(alerts))
+            flagged.extend((t, stale, reason) for stale, reason in tracker.step(alerts))
             logged.extend(a for a in alerts if a.scope == SCOPE_LOCAL)
         assert len(logged) == 1
-        assert flagged == [(3, REASON_LOCAL_ALERT)]
-        assert record.leaf_id == logged[0].node_id
+        assert flagged == [(3, row, REASON_LOCAL_ALERT)]
+        assert tracker.leaf_ids[row] == logged[0].node_id
 
     def test_leaf_change_wins_over_simultaneous_alert(self):
         tracker, tree = _tracker(window=8)
         tree.update(np.array([0.0]), 0.0, 0)
-        record = tracker.track(np.array([0.0]), _vec(0))
+        row = tracker.track(np.array([0.0]), _vec(0))
         tree.update(np.array([1.0]), 0.0, 1)
         new_leaf = tree.find_leaf(np.array([0.0]))
         fake = DriftAlert(
             t=1, scope=SCOPE_LOCAL, p_value=0.001, kind=KIND_CHANGE_TEST, node_id=new_leaf.node_id
         )
-        assert tracker.step([fake]) == [(record, REASON_LEAF_CHANGE)]
-        assert record.leaf_id == new_leaf.node_id
+        assert tracker.step([fake]) == [(row, REASON_LEAF_CHANGE)]
+        assert tracker.leaf_ids[row] == new_leaf.node_id
         # the next alert at the same leaf is a local alert
-        assert tracker.step([fake]) == [(record, REASON_LOCAL_ALERT)]
+        assert tracker.step([fake]) == [(row, REASON_LOCAL_ALERT)]
 
     def test_alert_on_other_leaf_is_ignored(self):
         tracker, tree = _tracker(window=8)
         tree.update(np.array([0.0]), 0.0, 0)
         tree.update(np.array([1.0]), 0.0, 1)
-        record = tracker.track(np.array([0.0]), _vec(1))
+        vec = _vec(1)
+        row = tracker.track(np.array([0.0]), vec)
         other = tree.find_leaf(np.array([1.0]))
         fake = DriftAlert(
             t=2, scope=SCOPE_LOCAL, p_value=0.001, kind=KIND_CHANGE_TEST, node_id=other.node_id
         )
         tree.update(np.array([0.0]), 0.0, 2)
         assert tracker.step([fake]) == []
-        assert record.log == [(1, REASON_INITIAL)]
+        assert tracker.history[row] == [(REASON_INITIAL, vec)]
 
     def test_stale_records_come_in_record_order(self):
         tracker, tree = _tracker(window=8)
         tree.update(np.array([0.0]), 0.0, 0)
-        near = tracker.track(np.array([0.1]), _vec(0))
-        far = tracker.track(np.array([0.9]), _vec(0))
-        first = tracker.track(np.array([0.0]), _vec(0))
+        rows = [tracker.track(np.array([x]), _vec(0)) for x in (0.1, 0.9, 0.0)]
+        assert rows == [0, 1, 2]
         assert tracker.xs.tolist() == [[0.1], [0.9], [0.0]]
-        tree.update(np.array([1.0]), 0.0, 1)  # the split moves every record
-        assert [r for r, _ in tracker.step([])] == [near, far, first]
+        tree.update(np.array([1.0]), 0.0, 1)  # the split moves every row
+        assert [row for row, _ in tracker.step([])] == rows
 
     def test_identical_runs_produce_identical_logs(self):
         def run():
@@ -217,34 +214,42 @@ class TestAttributionTracker:
                 if t < 3:
                     tracker.track(x, _vec(t))
                 else:
-                    for record, reason in tracker.step(alerts):
-                        record.refresh(_vec(t), reason)
-            return [record.log for record in tracker.records]
+                    for row, reason in tracker.step(alerts):
+                        tracker.refresh(row, _vec(t), reason)
+            return [[(vec.t, reason) for reason, vec in events] for events in tracker.history]
 
-        assert run() == run()
+        first = run()
+        assert first == run()
+        assert any(len(events) > 1 for events in first)
 
     def test_recompute_count_matches_log(self):
         tracker, tree = _tracker(window=4)
         rng = np.random.default_rng(3)
         tree.update(rng.random(1), 0.0, 0)
-        record = tracker.track(np.array([0.2]), _vec(0))
+        row = tracker.track(np.array([0.2]), _vec(0))
         for t in range(1, 80):
             alerts = tree.update(rng.random(1), rng.normal(), t)
             for stale, reason in tracker.step(alerts):
-                stale.refresh(_vec(t), reason)
-        assert record.recompute_count == len(record.log) > 1
-        assert len(record.history) == len(record.log)
-        assert [t for t, _ in record.log] == [vec.t for vec in record.history]
-        assert record.current is record.history[-1]
-        assert record.start_t == 0
+                vec = AttributionVector(phi=np.array([float(t)]), phi0=0.0, t=t)
+                tracker.refresh(stale, vec, reason)
+        events = tracker.history[row]
+        assert len(events) > 1
+        assert events[0][0] == REASON_INITIAL and events[0][1].t == 0
+        assert [vec.t for _, vec in events] == sorted({vec.t for _, vec in events})
+        assert all(reason != REASON_INITIAL for reason, _ in events[1:])
+        # the stored phi the oracle compares against is the last vector stored
+        assert tracker.phis[row].tolist() == events[-1][1].phi.tolist()
 
 
-def _record(phis, times):
-    reasons = [REASON_INITIAL] + [REASON_LEAF_CHANGE] * (len(times) - 1)
-    record = AttributionRecord(np.zeros(len(phis[0])), leaf_id=0)
-    for p, t, reason in zip(phis, times, reasons):
-        record.refresh(AttributionVector(phi=np.asarray(p, dtype=float), phi0=0.0, t=t), reason)
-    return record
+def _tracker_with_history(phis, times):
+    """A one-row tracker whose row stored ``phis`` at ``times``, initial one first."""
+    tracker, tree = _tracker(n_features=len(phis[0]))
+    tree.update(np.zeros(len(phis[0])), 0.0, 0)
+    vecs = [AttributionVector(phi=np.asarray(p, dtype=float), phi0=0.0, t=t) for p, t in zip(phis, times)]
+    row = tracker.track(np.zeros(len(phis[0])), vecs[0])
+    for vec in vecs[1:]:
+        tracker.refresh(row, vec, REASON_LEAF_CHANGE)
+    return tracker
 
 
 def _tiny_stream(rows):
@@ -308,11 +313,23 @@ class TestRecomputeMetrics:
 
 class TestTraceRows:
     def test_rows_cover_each_recompute_event(self):
-        record = _record([[1.0, 2.0], [3.0, 4.0]], [0, 5])
-        rows = list(trace_rows([record]))
+        tracker = _tracker_with_history([[1.0, 2.0], [3.0, 4.0]], [0, 5])
+        rows = list(tracker.trace_rows())
         assert rows == [
             (0, 0, 0, 1.0, REASON_INITIAL),
             (0, 0, 1, 2.0, REASON_INITIAL),
             (5, 0, 0, 3.0, REASON_LEAF_CHANGE),
             (5, 0, 1, 4.0, REASON_LEAF_CHANGE),
+        ]
+
+    def test_rows_come_row_by_row(self):
+        tracker, tree = _tracker()
+        tree.update(np.zeros(1), 0.0, 0)
+        first = tracker.track(np.zeros(1), _vec(0))
+        tracker.track(np.zeros(1), _vec(1))
+        tracker.refresh(first, _vec(2), REASON_LOCAL_ALERT)
+        assert [(t, row, reason) for t, row, _, _, reason in tracker.trace_rows()] == [
+            (0, 0, REASON_INITIAL),
+            (2, 0, REASON_LOCAL_ALERT),
+            (1, 1, REASON_INITIAL),
         ]

@@ -135,6 +135,30 @@ class TestMergeAndValidate:
         with pytest.raises(ValueError, match=field):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("raw", ["true", "false"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "learning_rate",
+            "gamma",
+            "alpha",
+            "beta",
+            "window",
+            "max_age",
+            "max_depth",
+            "seed",
+            "warmup",
+            "interval_fractions",
+        ],
+    )
+    def test_boolean_is_not_a_number(self, tmp_path, field, raw):
+        value = f"[0.5, {raw}]" if field == "interval_fractions" else raw
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{field} = {value}\n")
+        cfg = merge_config(load_config(cfg_file))
+        with pytest.raises(ValueError, match=f"config field '{field}'"):
+            validate_config(cfg)
+
     def test_unbounded_depth_allowed(self):
         cfg = merge_config()
         cfg["max_depth"] = None

@@ -29,6 +29,13 @@ def _descend(tree, x):
     return node
 
 
+def _preorder(node):
+    """Reference walk over the left/right pointers: a node, its left subtree, its right."""
+    if node.is_leaf:
+        return [node]
+    return [node, *_preorder(node.left), *_preorder(node.right)]
+
+
 def _feed(tree, xs, diffs=None, t0=0):
     alerts = []
     for k, x in enumerate(xs):
@@ -181,6 +188,18 @@ class TestFindLeaf:
         assert tree.find_leaf(np.array([0.1])) is tree.root.left
         assert tree.find_leaf(np.array([0.9])) is tree.root.right
         assert tree.find_leaves(np.empty((0, 1))) == []
+
+    def test_rejects_matrix_of_wrong_width(self):
+        tree = _tree(m=3)
+        _feed(tree, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.9, 0.1, 0.5]])
+        assert tree.node_count > 1
+        assert tree.find_leaves(np.empty((0, 3))) == []
+        with pytest.raises(ValueError, match=r"\(K, 3\), got \(1, 1\)"):
+            tree.find_leaf(np.array([0.5]))
+        with pytest.raises(ValueError, match=r"\(K, 3\), got \(0, 1\)"):
+            tree.find_leaves(np.empty((0, 1)))
+        with pytest.raises(ValueError, match=r"\(K, 3\), got \(3,\)"):
+            tree.find_leaves(np.array([0.5, 0.5, 0.5]))
 
     def test_tie_goes_left(self):
         tree = _tree()
@@ -347,7 +366,7 @@ class TestGlobalChange:
             for c in corners:
                 tree.update(np.array(c), 0.0, t)
                 t += 1
-        leaves = [leaf for leaf in tree.iter_leaves()]
+        leaves = [node for node in tree.nodes if node.is_leaf]
         full = [leaf for leaf in leaves if leaf.size == tree.window and leaf.last_p is not None]
         assert len(full) == 4
         return tree, full, t
@@ -410,14 +429,28 @@ class TestInvariants:
     def test_structure_and_memory_bounds_under_fuzz(self):
         rng = np.random.default_rng(2024)
         tree = AdaptiveClusterTree(2, DetectorConfig(window=10, max_age=50, max_depth=4))
+        pruned = []  # nodes each prune removed
+        prune = tree.prune
+
+        def counting_prune(node):
+            before = tree.node_count
+            alert = prune(node)
+            pruned.append(before - tree.node_count)
+            return alert
+
+        tree.prune = counting_prune
         thr = -2.0 * math.log(0.95)
         prev_count = 0
         for t in range(2000):
             x = rng.uniform(0, 1, size=2)
             tree.update(x, float(rng.normal()), t)
+            # the preorder list is exactly the pointer walk, node for node
+            walk = _preorder(tree.root)
+            assert len(walk) == len(tree.nodes)
+            assert all(a is b for a, b in zip(walk, tree.nodes))
             total_entries = 0
             n_nodes = 0
-            for node in tree.iter_nodes():
+            for node in walk:
                 n_nodes += 1
                 total_entries += node.size
                 assert (node.left is None) == (node.right is None)
@@ -443,6 +476,8 @@ class TestInvariants:
                     d2 = (gaps * gaps).sum(axis=1)
                     assert d2.max() <= thr + 1e-9
             prev_count = tree.node_count
+        # some prunes dropped a subtree two or more levels deep (>= 4 nodes)
+        assert len(pruned) > 0 and max(pruned) >= 4
 
     def test_split_conserves_window_multiset(self):
         rng = np.random.default_rng(99)
@@ -494,8 +529,8 @@ class TestInvariants:
         tree_a, alerts_a = build()
         tree_b, alerts_b = build()
         assert alerts_a == alerts_b
-        nodes_a = [(n.node_id, n.depth, n.age, n.size, n.centroid.tolist()) for n in tree_a.iter_nodes()]
-        nodes_b = [(n.node_id, n.depth, n.age, n.size, n.centroid.tolist()) for n in tree_b.iter_nodes()]
+        nodes_a = [(n.node_id, n.depth, n.age, n.size, n.centroid.tolist()) for n in tree_a.nodes]
+        nodes_b = [(n.node_id, n.depth, n.age, n.size, n.centroid.tolist()) for n in tree_b.nodes]
         assert nodes_a == nodes_b
 
 
