@@ -26,7 +26,6 @@ from .tree import SCOPE_LOCAL, AdaptiveClusterTree, DriftAlert
 REASON_INITIAL = "initial"
 REASON_LEAF_CHANGE = "leaf-change"
 REASON_LOCAL_ALERT = "local-alert"
-REASON_EVERY_STEP = "every-step"
 
 
 @dataclass(frozen=True)

@@ -105,12 +105,19 @@ def _read_stream(path, cfg, require_sidecar: bool = False) -> StreamSource:
     """A CSV stream carrying the drift positions of its sidecar, if any."""
     csv_path = Path(path)
     sidecar = _sidecar_path(csv_path)
-    positions = ()
-    if sidecar.exists():
-        positions = tuple(json.loads(sidecar.read_text())["positions"])
-    elif require_sidecar:
+    if require_sidecar and not sidecar.exists():
         raise ValueError(f"stream {path} has no ground-truth sidecar {sidecar}")
-    return read_csv(csv_path, label_column=_label_column(cfg), drift_positions=positions)
+    stream = read_csv(csv_path, label_column=_label_column(cfg))
+    if sidecar.exists():
+        meta = json.loads(sidecar.read_text())
+        positions = meta.get("positions") if isinstance(meta, dict) else None
+        valid_steps = isinstance(positions, list) and all(type(p) is int and 0 < p < stream.length for p in positions)
+        if not (valid_steps and positions == sorted(set(positions))):
+            raise ValueError(
+                f"drift sidecar {sidecar}: 'positions' must be strictly increasing integers in [1, {stream.length})"
+            )
+        stream.drift_positions = tuple(positions)
+    return stream
 
 
 def _load_stream(args, cfg) -> StreamSource:

@@ -125,8 +125,10 @@ def load_config(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: empty key")
         if key not in DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}; expected one of {sorted(DEFAULTS)}")
-        result[key] = parse_value(raw)
-    return result
+        if key in result:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} (first on line {result[key][0]})")
+        result[key] = (lineno, parse_value(raw))
+    return {key: value for key, (_, value) in result.items()}
 
 
 def merge_config(file_values: dict | None = None, overrides: dict | None = None) -> dict:

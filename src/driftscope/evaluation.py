@@ -81,9 +81,7 @@ def combined_score(recall: float, fdr: float) -> float:
     return (recall + (1.0 - fdr)) / 2.0
 
 
-STATUS_STABLE = "stable"
-STATUS_WARNING = "warning"
-STATUS_DRIFT = "drift"
+DDM_MIN_SAMPLES = 30
 
 
 class DdmDetector:
@@ -91,47 +89,37 @@ class DdmDetector:
 
     Feeds on a per-step correctness indicator. The running error rate p
     and its binomial deviation s = sqrt(p(1-p)/i) are tracked along
-    with their joint minimum; the state escalates to warning when
-    p + s > p_min + 2 s_min and to drift when p + s > p_min + 3 s_min,
-    after which the counters restart. Thresholds stay inactive for the
-    first ``min_samples`` steps of each concept.
+    with their joint minimum; drift is signalled (DDM's warning level is
+    not kept) when p + s > p_min + 3 s_min, after which the counters
+    restart. The threshold stays inactive for the first
+    ``DDM_MIN_SAMPLES`` steps of each concept.
     """
 
-    def __init__(self, min_samples: int = 30):
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-        self.min_samples = min_samples
+    def __init__(self):
         self.reset()
 
     def reset(self) -> None:
         self.i = 0
         self.p = 0.0
-        self.s = 0.0
         self.p_min = math.inf
         self.s_min = math.inf
-        self.status = STATUS_STABLE
 
-    def update(self, correct: bool) -> str:
-        """Consume one prediction outcome; returns the new status."""
+    def update(self, correct: bool) -> bool:
+        """Consume one prediction outcome; True when it signals drift."""
         self.i += 1
         err = 0.0 if correct else 1.0
         self.p += (err - self.p) / self.i
-        self.s = math.sqrt(self.p * (1.0 - self.p) / self.i)
-        if self.i < self.min_samples:
-            self.status = STATUS_STABLE
-            return self.status
-        level = self.p + self.s
+        s = math.sqrt(self.p * (1.0 - self.p) / self.i)
+        if self.i < DDM_MIN_SAMPLES:
+            return False
+        level = self.p + s
         if level <= self.p_min + self.s_min:
             self.p_min = self.p
-            self.s_min = self.s
+            self.s_min = s
         if level > self.p_min + 3.0 * self.s_min:
             self.reset()
-            self.status = STATUS_DRIFT
-        elif level > self.p_min + 2.0 * self.s_min:
-            self.status = STATUS_WARNING
-        else:
-            self.status = STATUS_STABLE
-        return self.status
+            return True
+        return False
 
 
 # A detector runner takes a stream and returns the alert steps it

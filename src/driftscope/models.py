@@ -60,10 +60,10 @@ class GaussianNaiveBayes:
 
     Per-class feature moments are maintained with Welford's recurrence,
     so long streams do not lose precision to catastrophic cancellation.
-    Variances are sample variances (n-1 denominator) floored at
-    ``VARIANCE_FLOOR``; a class with fewer than two observations sits at
-    the floor. ``update`` refreshes its class's row of the cached variance
-    and ``log(2*pi*var)`` matrices, so ``predict`` is whole-matrix math.
+    ``variances`` is the class x feature matrix of sample variances (n-1
+    denominator) floored at ``VARIANCE_FLOOR``; a class with fewer than
+    two observations sits at the floor. ``update`` refreshes its class's
+    row of it and of ``log(2*pi*var)``, so ``predict`` is whole-matrix math.
     """
 
     def __init__(self, n_features: int, n_classes: int):
@@ -74,8 +74,8 @@ class GaussianNaiveBayes:
         self.counts = np.zeros(n_classes, dtype=np.int64)
         self.means = np.zeros((n_classes, n_features), dtype=float)
         self._m2 = np.zeros((n_classes, n_features), dtype=float)
-        self._var = np.full((n_classes, n_features), VARIANCE_FLOOR)
-        self._log_norm = np.log(2.0 * np.pi * self._var)
+        self.variances = np.full((n_classes, n_features), VARIANCE_FLOOR)
+        self._log_norm = np.log(2.0 * np.pi * self.variances)
 
     def update(self, x: np.ndarray, y: int, prediction=None) -> None:
         if not 0 <= y < self.n_classes:
@@ -86,11 +86,8 @@ class GaussianNaiveBayes:
         self.means[y] += delta / self.counts[y]
         self._m2[y] += delta * (x - self.means[y])
         if self.counts[y] > 1:
-            self._var[y] = np.maximum(self._m2[y] / (self.counts[y] - 1), VARIANCE_FLOOR)
-            self._log_norm[y] = np.log(2.0 * np.pi * self._var[y])
-
-    def variances(self, y: int) -> np.ndarray:
-        return self._var[y].copy()
+            self.variances[y] = np.maximum(self._m2[y] / (self.counts[y] - 1), VARIANCE_FLOOR)
+            self._log_norm[y] = np.log(2.0 * np.pi * self.variances[y])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Posterior probability vector over all classes.
@@ -102,7 +99,7 @@ class GaussianNaiveBayes:
         if total == 0:
             raise ValueError("cannot predict before any training observation")
         x = np.asarray(x, dtype=float)
-        lls = -0.5 * (self._log_norm + (x - self.means) ** 2 / self._var).sum(axis=1)
+        lls = -0.5 * (self._log_norm + (x - self.means) ** 2 / self.variances).sum(axis=1)
         log_post = np.full(self.n_classes, -np.inf)
         for k in np.flatnonzero(self.counts).tolist():
             log_post[k] = lls[k] + math.log(self.counts[k] / total)

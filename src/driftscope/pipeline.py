@@ -19,15 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import REASON_EVERY_STEP, AttributionTracker, attribute_linear
+from .attribution import AttributionTracker, attribute_linear
 from .baseline import EwmaBaseline
 from .config import MODEL_KINDS, DetectorConfig
-from .evaluation import DetectorRunner, DdmDetector, STATUS_DRIFT
+from .evaluation import DetectorRunner, DdmDetector
 from .models import GaussianNaiveBayes, OnlineLogisticRegression, detector_input
 from .stream import StreamSource, scaled
 from .tree import SCOPE_GLOBAL, AdaptiveClusterTree, DriftAlert
 
-TRACKING_POLICIES = ("cdleeds", "always", "never")
+TRACKING_POLICIES = ("cdleeds", "never")
 
 
 def build_model(kind: str, n_features: int, n_classes: int, learning_rate: float = DetectorConfig.learning_rate):
@@ -164,12 +164,12 @@ def run_tracking(
     Tracked observations are pinned on arrival (drawn without
     replacement from steps 1..sample_prefix-1; step 0 only warms the
     model up) and their stored attributions are refreshed according to
-    ``policy``: when the tracker flags them stale (leaf change or local
-    alert), every step, or never. With ``oracle`` on, the always-recompute
-    attribution of every tracked row is computed each step and the
-    deviation of the tracker's stored ``phis`` from it is accumulated
-    streamingly. ``settings`` are ``DetectorConfig`` fields; the model
-    must be the linear ``logreg``.
+    ``policy``: ``cdleeds`` recomputes the rows the tracker flags stale
+    (leaf change or local alert), ``never`` keeps each first attribution.
+    With ``oracle`` on, the recompute-every-step attribution of each
+    tracked row is computed each step, and the deviation of the stored
+    ``phis`` from it is accumulated streamingly. ``settings`` are
+    ``DetectorConfig`` fields; the model must be the linear ``logreg``.
     """
     config = DetectorConfig(**settings)
     if config.model != "logreg":
@@ -203,12 +203,7 @@ def run_tracking(
         tick = time.perf_counter()
         alerts = detector.detect(x, prediction, t)
         base_vec = detector.baseline.ewma
-        if policy == "always":
-            stale = [(row, REASON_EVERY_STEP) for row in range(len(tracker.history))]
-        elif policy == "cdleeds" and tracker.history:
-            stale = tracker.step(alerts)
-        else:
-            stale = []
+        stale = tracker.step(alerts) if policy == "cdleeds" and tracker.history else []
         for row, reason in stale:
             tracker.refresh(row, attribute_linear(clf, tracker.xs[row], base_vec, t), reason)
         if t in pin_steps:
@@ -275,7 +270,7 @@ def ddm_runner(
             steps += 1
             is_correct = _predicted_class(prediction) == item.y
             tick = time.perf_counter()
-            if ddm.update(is_correct) == STATUS_DRIFT:
+            if ddm.update(is_correct):
                 alerts.append(item.t)
             detector_seconds += time.perf_counter() - tick
         return alerts, detector_seconds / steps if steps else 0.0

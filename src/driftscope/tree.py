@@ -203,9 +203,15 @@ class AdaptiveClusterTree:
         # splits add two children, prunes drop whole branches: the tree stays full binary
         return (self.node_count + 1) // 2
 
+    def _feature_vector(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_features,):
+            raise ValueError(f"expected feature vector of shape ({self.n_features},), got {x.shape}")
+        return x
+
     def find_leaf(self, x: np.ndarray) -> ClusterNode:
         """Descend to the leaf whose centroid is most similar to x (ties go left)."""
-        return self.find_leaves(np.asarray(x, dtype=float)[None, :])[0]
+        return self.find_leaves(self._feature_vector(x)[None, :])[0]
 
     def find_leaves(self, xs: np.ndarray) -> list[ClusterNode]:
         """The leaf each row of the K x m matrix xs descends to, as ``find_leaf``.
@@ -247,9 +253,7 @@ class AdaptiveClusterTree:
 
     def update(self, x: np.ndarray, diff: float, t: int) -> list[DriftAlert]:
         """Route one observation through the tree; returns alerts raised."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features,):
-            raise ValueError(f"expected feature vector of shape ({self.n_features},), got {x.shape}")
+        x = self._feature_vector(x)
         if not (np.isfinite(x).all() and math.isfinite(diff)):
             raise ValueError("update requires finite inputs")
         if self._last_t is not None and t <= self._last_t:

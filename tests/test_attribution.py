@@ -265,16 +265,6 @@ def _tiny_stream(rows):
 class TestRecomputeMetrics:
     """The reduction and deviation scores of ``run_tracking``'s streaming oracle."""
 
-    def test_every_step_policy_scores_zero_reduction(self):
-        stream = _tiny_stream(np.random.default_rng(5).random((20, 2)))
-        result = run_tracking(stream, sample_size=3, sample_prefix=10, policy="always", seed=1)
-        # every tracked observation is recomputed at each step from its pin on
-        pins = {t for t, _, _, _, reason in result.trace if reason == REASON_INITIAL}
-        assert len(pins) == 3
-        assert len(result.trace) == 2 * sum(stream.length - t for t in pins)
-        assert result.reduction_pct == 0.0
-        assert result.mean_abs_deviation == 0.0
-
     def test_never_recompute_on_frozen_model(self):
         n = 200
         stream = _tiny_stream(np.random.default_rng(6).random((n, 2)))

@@ -83,6 +83,13 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="empty key"):
             load_config(cfg_file)
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("window = 100\ngamma = 0.9\n# again\nwindow = 202\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_config(cfg_file)
+        assert str(excinfo.value) == f"{cfg_file}:4: duplicate key 'window' (first on line 1)"
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("gamma = 0.9\nwindw = 4\nalhpa = 0.5\n")
@@ -424,6 +431,15 @@ class TestTrackAttributions:
         for name in ("attributions.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_policy_always_is_not_a_choice(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["track-attributions", "--kind", "sea", "--length", "400",
+                  "--policy", "always", "--out", str(tmp_path / "trk")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'always'" in err
+        assert not (tmp_path / "trk").exists()
+
 
 class TestBench:
     def _generated(self, tmp_path, capsys, seed=5):
@@ -477,6 +493,46 @@ class TestBench:
         )
         assert code == 2
         assert "bench" in err and "sidecar" in err
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            {"kind": "sea"},
+            [1500],
+            {"positions": 1500},
+            {"positions": [600.5]},
+            {"positions": [True]},
+            {"positions": ["1500"]},
+            {"positions": [0]},
+            {"positions": [3000]},
+            {"positions": [1500, 1500]},
+            {"positions": [2000, 1500]},
+        ],
+        ids=["no-positions", "list", "not-a-list", "float", "bool", "string", "zero",
+             "at-length", "repeated", "decreasing"],
+    )
+    def test_bad_sidecar_fails_at_load(self, tmp_path, capsys, sidecar):
+        stream_csv = self._generated(tmp_path, capsys)
+        sidecar_path = stream_csv.with_suffix(".drifts.json")
+        sidecar_path.write_text(json.dumps(sidecar))
+        out = tmp_path / "x"
+        code, _, err = _run(["bench", "--stream", str(stream_csv), "--out", str(out)], capsys)
+        assert code == 2
+        assert f"drift sidecar {sidecar_path}: 'positions' must be strictly increasing integers in [1, 3000)" in err
+        assert not out.exists()
+
+    def test_sidecar_positions_reach_the_scores(self, tmp_path, capsys):
+        stream_csv = self._generated(tmp_path, capsys)
+        stream_csv.with_suffix(".drifts.json").write_text(json.dumps({"positions": [1, 2999]}))
+        out = tmp_path / "bench"
+        code, _, _ = _run(
+            ["bench", "--stream", str(stream_csv), "--detectors", "ddm", "--warmup", "0",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        [row] = json.loads((out / "report.json").read_text())
+        assert len(json.loads(row["delays"])) == 2
 
     def test_empty_detector_list_fails(self, tmp_path, capsys):
         stream_csv = self._generated(tmp_path, capsys, seed=7)

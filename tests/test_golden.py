@@ -50,7 +50,6 @@ CASES = {
         DETECT_FILES,
     ),
     "track-cdleeds": ([*TRACK, "--policy", "cdleeds"], TRACK_FILES),
-    "track-always": ([*TRACK, "--policy", "always"], TRACK_FILES),
     "track-never": ([*TRACK, "--policy", "never"], TRACK_FILES),
     "track-cdleeds-no-oracle": ([*TRACK, "--policy", "cdleeds", "--no-oracle"], TRACK_FILES),
     "bench": (

@@ -121,12 +121,12 @@ class TestGaussianNaiveBayes:
         model.update(np.array([2.0]), 0)
         model.update(np.array([4.0]), 0)
         assert model.means[0, 0] == pytest.approx(3.0)
-        assert model.variances(0)[0] == pytest.approx(2.0)
+        assert model.variances[0, 0] == pytest.approx(2.0)
 
     def test_single_sample_class_sits_at_variance_floor(self):
         model = GaussianNaiveBayes(2, 2)
         model.update(np.array([1.0, 2.0]), 1)
-        np.testing.assert_allclose(model.variances(1), VARIANCE_FLOOR)
+        np.testing.assert_allclose(model.variances[1], VARIANCE_FLOOR)
 
     def test_moments_match_numpy_on_random_data(self):
         rng = np.random.default_rng(9)
@@ -135,7 +135,7 @@ class TestGaussianNaiveBayes:
         for row in rows:
             model.update(row, 0)
         np.testing.assert_allclose(model.means[0], rows.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(model.variances(0), rows.var(axis=0, ddof=1), atol=1e-12)
+        np.testing.assert_allclose(model.variances[0], rows.var(axis=0, ddof=1), atol=1e-12)
 
     def test_posterior_sums_to_one_and_prefers_nearer_class(self):
         rng = np.random.default_rng(21)

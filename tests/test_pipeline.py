@@ -189,7 +189,7 @@ class TestRunDetection:
 
 class TestRunTracking:
     def test_policy_listing(self):
-        assert TRACKING_POLICIES == ("cdleeds", "always", "never")
+        assert TRACKING_POLICIES == ("cdleeds", "never")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
@@ -209,13 +209,6 @@ class TestRunTracking:
         assert result.mean_abs_deviation is None
         assert result.oracle_range is None
         assert result.trace == ()
-
-    def test_always_policy_matches_oracle_exactly(self):
-        result = run_tracking(
-            _sea(600, seed=4), sample_size=5, sample_prefix=200, policy="always", seed=2
-        )
-        assert result.reduction_pct == pytest.approx(0.0)
-        assert result.mean_abs_deviation == pytest.approx(0.0)
 
     def test_never_policy_computes_each_slot_once(self):
         result = run_tracking(

@@ -194,8 +194,11 @@ class TestFindLeaf:
         _feed(tree, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.9, 0.1, 0.5]])
         assert tree.node_count > 1
         assert tree.find_leaves(np.empty((0, 3))) == []
-        with pytest.raises(ValueError, match=r"\(K, 3\), got \(1, 1\)"):
-            tree.find_leaf(np.array([0.5]))
+        for bad, shape in ((np.array([0.5]), r"\(1,\)"), (0.5, r"\(\)"), (np.zeros((1, 3)), r"\(1, 3\)")):
+            # reads and writes reject a malformed vector with the same message
+            for call in (lambda: tree.find_leaf(bad), lambda: tree.update(bad, 0.0, 10)):
+                with pytest.raises(ValueError, match=r"feature vector of shape \(3,\), got " + shape):
+                    call()
         with pytest.raises(ValueError, match=r"\(K, 3\), got \(0, 1\)"):
             tree.find_leaves(np.empty((0, 1)))
         with pytest.raises(ValueError, match=r"\(K, 3\), got \(3,\)"):
