@@ -6,9 +6,12 @@ without the oracle, and the benchmark with both detectors. Refactors
 must leave every output byte-identical. ``golden/digests.json`` holds
 the digests; a deliberate output change rewrites it with
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    PYTHONPATH=src python3 tests/test_golden.py [CASE ...]
 
-and is recorded in CHANGES.md together with its reason.
+and is recorded in CHANGES.md together with its reason. Named cases
+rewrite only their own digests and leave every other one as it is, so a
+new case can be added without accepting changes elsewhere; an unknown
+name is an error. With no names, every digest is rewritten.
 """
 
 import hashlib
@@ -52,6 +55,12 @@ CASES = {
     "track-cdleeds": ([*TRACK, "--policy", "cdleeds"], TRACK_FILES),
     "track-never": ([*TRACK, "--policy", "never"], TRACK_FILES),
     "track-cdleeds-no-oracle": ([*TRACK, "--policy", "cdleeds", "--no-oracle"], TRACK_FILES),
+    # a deep tree (over 63 nodes, hundreds of splits and prunes) under 100 tracked rows
+    "track-deep": (
+        [*TRACK, "--sample-size", "100", "--sample-prefix", "1000", "--window", "16",
+         "--max-depth", "8"],
+        TRACK_FILES,
+    ),
     "bench": (
         ["bench", "--stream", STREAM, "--detectors", "cdleeds,ddm", "--warmup", "200"],
         BENCH_FILES,
@@ -96,10 +105,14 @@ def test_golden_covers_every_case():
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}; expected some of {', '.join(CASES)}")
+    digests = json.loads(DIGESTS.read_text()) if sys.argv[1:] else {}
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {}
-        for case in CASES:
+        for case in names:
             digests.update(run_case(case, Path(tmp)))
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
+    print(f"wrote {len(names)} case(s) to {DIGESTS}", file=sys.stderr)
