@@ -10,9 +10,9 @@ the margin moved, some part moved.
 The tracker keeps attributions for a set of pinned feature vectors and
 flags one as stale only when the cluster tree reassigns its vector to a
 different leaf or raises a local change alert at its leaf. It keeps one
-row per pinned vector, in pin order, and routes every row through the
-tree in one batched pass per step. The caller recomputes the flagged
-rows with whatever explainer it uses; everything else is reused as-is.
+row per pinned vector, in pin order, with its squared distances to the
+node centroids, recomputed only where a centroid moved. The caller recomputes
+the flagged rows with whatever explainer it uses; the rest is reused as-is.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import SCOPE_LOCAL, AdaptiveClusterTree, DriftAlert
+from .tree import SCOPE_LOCAL, AdaptiveClusterTree, DriftAlert, distances
 
 REASON_INITIAL = "initial"
 REASON_LEAF_CHANGE = "leaf-change"
@@ -80,13 +80,18 @@ class AttributionTracker:
         self.tree = tree
         self.xs = np.empty((0, tree.n_features))
         self.phis = np.empty((0, tree.n_features))
-        self.leaf_ids: list[int] = []
+        self.leaf_ids = np.empty(0, dtype=np.int64)
         self.history: list[list[tuple[str, AttributionVector]]] = []
+        # _d2[row, j] is xs[row]'s distance to _centroids[j], the centroid node _node_ids[j] had at the
+        # last step. Both end in a spare entry: a NaN centroid, which no centroid equals.
+        self._node_ids: list[int] = []
+        self._centroids, self._d2 = np.full((1, tree.n_features), np.nan), np.empty((0, 1))
 
     def track(self, x: np.ndarray, vec: AttributionVector) -> int:
-        self.leaf_ids.append(self.tree.find_leaf(x).node_id)
+        self.leaf_ids = np.append(self.leaf_ids, self.tree.find_leaf(x).node_id)
         self.xs = np.vstack((self.xs, x))
         self.phis = np.vstack((self.phis, vec.phi))
+        self._d2 = np.vstack((self._d2, distances(self.xs[-1:], self._centroids)))
         self.history.append([(REASON_INITIAL, vec)])
         return len(self.history) - 1
 
@@ -97,15 +102,21 @@ class AttributionTracker:
 
     def step(self, alerts: list[DriftAlert]) -> list[tuple[int, str]]:
         """(row, reason) for each row gone stale, in row order."""
-        alerted_leaves = {a.node_id for a in alerts if a.scope == SCOPE_LOCAL}
-        stale = []
-        for row, leaf in enumerate(self.tree.find_leaves(self.xs)):
-            if leaf.node_id != self.leaf_ids[row]:
-                self.leaf_ids[row] = leaf.node_id
-                stale.append((row, REASON_LEAF_CHANGE))
-            elif leaf.node_id in alerted_leaves:
-                stale.append((row, REASON_LOCAL_ALERT))
-        return stale
+        node_ids = [node.node_id for node in self.tree.nodes]
+        centroids = np.array([node.centroid for node in self.tree.nodes])
+        if node_ids != self._node_ids:  # a split or prune: carry the surviving columns over by node id
+            known = dict(zip(self._node_ids, range(len(self._node_ids))))
+            carry = np.array([known.get(node_id, -1) for node_id in [*node_ids, None]])  # -1: the spare
+            self._node_ids, self._centroids, self._d2 = node_ids, self._centroids[carry], self._d2[:, carry]
+        moved = np.flatnonzero((centroids != self._centroids[:-1]).any(axis=1))
+        self._d2[:, moved] = distances(self.xs, centroids[moved])
+        self._centroids[:-1] = centroids
+        leaf_ids = np.array(node_ids)[self.tree.leaf_positions(self._d2)]
+        changed, self.leaf_ids = leaf_ids != self.leaf_ids, leaf_ids
+        alerted = [a.node_id for a in alerts if a.scope == SCOPE_LOCAL]
+        stale = changed | np.isin(leaf_ids, alerted) if alerted else changed
+        rows = np.flatnonzero(stale).tolist()
+        return [(row, REASON_LEAF_CHANGE if changed[row] else REASON_LOCAL_ALERT) for row in rows]
 
     def trace_rows(self):
         """Flatten the stored attributions for CSV export.

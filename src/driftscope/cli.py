@@ -109,7 +109,10 @@ def _read_stream(path, cfg, require_sidecar: bool = False) -> StreamSource:
         raise ValueError(f"stream {path} has no ground-truth sidecar {sidecar}")
     stream = read_csv(csv_path, label_column=_label_column(cfg))
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
+        try:
+            meta = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as err:
+            raise ValueError(f"drift sidecar {sidecar}: not valid JSON ({err})") from None
         positions = meta.get("positions") if isinstance(meta, dict) else None
         valid_steps = isinstance(positions, list) and all(type(p) is int and 0 < p < stream.length for p in positions)
         if not (valid_steps and positions == sorted(set(positions))):

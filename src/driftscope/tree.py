@@ -8,8 +8,8 @@ branches starved of traffic are pruned by an age rule. Drift is tested
 locally per leaf (older window half vs newer half) and globally by
 combining the leaf-level p-values with Fisher's method. The nodes live
 in one preorder list, which the global test and batched reads walk. Reads
-route a whole batch of vectors at once (``find_leaves``): the attribution
-tracker sends every pinned vector down the tree in one pass per step.
+route a batch from its squared distances to all centroids in one pass with
+no loop over levels (``leaf_positions``), so a caller may keep distances.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ def _farthest_pair(xs: np.ndarray) -> tuple[int, int]:
     d = xs[i] - xs[j]
     k = int((d * d).sum(axis=1).argmax())
     return int(i[k]), int(j[k])
+
+
+def distances(xs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """K x N squared distances, as stacked row dot products that round as ``_nearer_child``'s do."""
+    d = xs[:, None, :] - centroids[None, :, :]
+    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,7 @@ class AdaptiveClusterTree:
         self.max_age = config.max_age
         self.max_depth = config.max_depth
         self.nodes: list[ClusterNode] = []
+        self._routing: tuple | None = None  # leaf_positions' tables, dropped when the structure changes
         self.local_tests_run = 0
         self.local_alerts_raised = 0
         self.global_tests_run = 0
@@ -214,32 +221,38 @@ class AdaptiveClusterTree:
         return self.find_leaves(self._feature_vector(x)[None, :])[0]
 
     def find_leaves(self, xs: np.ndarray) -> list[ClusterNode]:
-        """The leaf each row of the K x m matrix xs descends to, as ``find_leaf``.
-
-        All rows descend one level per pass, each to the nearer child of
-        its node (ties go left). Stacked row-by-row dot products round as
-        the write path's ``dl @ dl`` does, so near-ties go the same way.
-        """
-        nodes = self.nodes
-        if not nodes:
+        """The leaf each row of the K x m matrix xs descends to, as ``find_leaf``."""
+        if not self.nodes:
             raise ValueError("tree is empty; update it with an observation first")
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.n_features:
             raise ValueError(f"expected a matrix of shape (K, {self.n_features}), got {xs.shape}")
-        pos = {node.node_id: i for i, node in enumerate(nodes)}
-        # children[i] = (left, right) positions; (0, 0) marks a leaf, since the root is no child
-        children = np.array(
-            [(0, 0) if n.left is None else (pos[n.left.node_id], pos[n.right.node_id]) for n in nodes]
-        )
-        centroids = np.array([node.centroid for node in nodes])
-        at = np.zeros(len(xs), dtype=np.intp)  # each row's node position
-        active = np.arange(len(xs))
-        while (active := active[children[at[active], 0] > 0]).size:
-            pair = children[at[active]]
-            d = xs[active][:, None, :] - centroids[pair]
-            d2 = np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
-            at[active] = np.where(d2[:, 0] <= d2[:, 1], pair[:, 0], pair[:, 1])
-        return [nodes[i] for i in at.tolist()]
+        d2 = distances(xs, np.array([node.centroid for node in self.nodes]))
+        return [self.nodes[i] for i in self.leaf_positions(d2).tolist()]
+
+    def leaf_positions(self, d2: np.ndarray) -> np.ndarray:
+        """The ``nodes`` position of the leaf each row reaches, from its K x N ``distances``.
+
+        Each internal node's decision (nearer child, ties left) is +1 or -1; a leaf scores them times
+        its side of each ancestor. The leaf a row reaches scores its depth, any other at least 2 less.
+        """
+        if self._routing is None:
+            # From the back of the preorder list (a left child follows its parent, a right child its
+            # sibling's subtree), one pass lists leaves back to front: leaf q is at or after p iff q < after[p].
+            size, after, inner, leaves = [1] * len(self.nodes), [0] * (len(self.nodes) + 1), [], []
+            for i in range(len(self.nodes) - 1, -1, -1):
+                if self.nodes[i].left is None:
+                    leaves.append(i)
+                else:
+                    right = i + 1 + size[i + 1]
+                    size[i] = 1 + size[i + 1] + size[right]
+                    inner += (i + 1, right, after[i + 1], after[right], after[i + size[i]])
+                after[i] = len(leaves)
+            rows = np.array(inner, dtype=np.intp).reshape(-1, 5)
+            side = np.array([1.0, -2.0, 1.0]) @ (np.arange(len(leaves)) < rows[:, 2:, None])
+            self._routing = rows[:, 0], rows[:, 1], side, np.abs(side).sum(axis=0), np.array(leaves)
+        left, right, side, depth, leaves = self._routing
+        return leaves[(np.where(d2[:, left] <= d2[:, right], 1.0, -1.0) @ side - depth).argmax(axis=1)]
 
     @staticmethod
     def _nearer_child(node: ClusterNode, x: np.ndarray) -> ClusterNode:
@@ -260,6 +273,7 @@ class AdaptiveClusterTree:
             raise ValueError(f"time steps must be strictly increasing, got {t} after {self._last_t}")
         if not self.nodes:
             self.nodes.append(self._new_node(0, x))
+            self._routing = None
         alerts: list[DriftAlert] = []
         self._update_node(self.nodes[0], x, diff, t, alerts)
         self._last_t = t
@@ -310,6 +324,7 @@ class AdaptiveClusterTree:
         node.left, node.right = left, right
         at = self.nodes.index(node) + 1
         self.nodes[at:at] = [left, right]
+        self._routing = None
         alerts: list[DriftAlert] = []
         for k in range(len(xs)):
             child = self._nearer_child(node, xs[k])
@@ -329,6 +344,7 @@ class AdaptiveClusterTree:
         while end < len(self.nodes) and self.nodes[end].depth > node.depth:
             end += 1
         del self.nodes[start:end]
+        self._routing = None
         node.left = node.right = None
         return self.test_local_change(node, kind=KIND_PRUNE_RETEST)
 

@@ -125,17 +125,17 @@ class TestAttributionTracker:
         assert tracker.phis.tolist() == [[0.25]]
         assert tracker.history == [[(REASON_INITIAL, vec)]]
         assert tracker.history[0][-1][1] is vec
-        assert tracker.leaf_ids == [tree.find_leaf(np.array([0.5])).node_id]
+        assert tracker.leaf_ids.tolist() == [tree.find_leaf(np.array([0.5])).node_id]
 
     def test_stationary_stream_never_recomputes(self):
         tracker, tree = _tracker(window=8)
         tree.update(np.array([0.5]), 0.0, 0)
         row = tracker.track(np.array([0.5]), _vec(0))
-        leaf_ids = list(tracker.leaf_ids)
+        leaf_ids = tracker.leaf_ids.tolist()
         for t in range(1, 60):
             alerts = tree.update(np.array([0.5]), 0.0, t)
             assert tracker.step(alerts) == []
-        assert tracker.leaf_ids == leaf_ids
+        assert tracker.leaf_ids.tolist() == leaf_ids
         assert [reason for reason, _ in tracker.history[row]] == [REASON_INITIAL]
 
     def test_split_triggers_leaf_change(self):
@@ -221,6 +221,44 @@ class TestAttributionTracker:
         first = run()
         assert first == run()
         assert any(len(events) > 1 for events in first)
+
+    def test_cached_routing_matches_a_fresh_walk(self):
+        # a deep tree that splits, prunes and alerts, with a row pinned every 40 steps
+        tree = AdaptiveClusterTree(2, DetectorConfig(window=8, max_depth=None))
+        tracker = AttributionTracker(tree)
+        rng = np.random.default_rng(5)
+
+        def walk(x):
+            node = tree.root
+            while not node.is_leaf:
+                node = tree._nearer_child(node, x)
+            return node.node_id
+
+        walked, reasons, node_sets = [], [], [set()]
+        for t in range(2000):
+            corner = (t // 250) % 4  # traffic moves round the corners, so branches starve
+            x = rng.uniform(0, 0.6, 2) + 0.4 * np.array([corner % 2, corner // 2])
+            alerts = tree.update(x, rng.normal(3.0 if (t // 100) % 3 == 0 else 0.0, 0.5), t)
+            stale = tracker.step(alerts)
+            leaves = [walk(row) for row in tracker.xs]
+            alerted = {a.node_id for a in alerts if a.scope == SCOPE_LOCAL}
+            assert stale == [
+                (row, REASON_LEAF_CHANGE if leaf != walked[row] else REASON_LOCAL_ALERT)
+                for row, leaf in enumerate(leaves)
+                if leaf != walked[row] or leaf in alerted
+            ]
+            assert tracker.leaf_ids.tolist() == leaves
+            walked = leaves
+            reasons.extend(reason for _, reason in stale)
+            node_sets.append({node.node_id for node in tree.nodes})
+            if t % 40 == 0:
+                tracker.track(x, _vec(t, n_features=2))
+                walked.append(walk(x))
+        assert len(walked) == 50
+        assert {REASON_LEAF_CHANGE, REASON_LOCAL_ALERT} <= set(reasons)
+        steps = list(zip(node_sets, node_sets[1:]))
+        assert any(now - before for before, now in steps)  # splits
+        assert any(before - now for before, now in steps)  # prunes
 
     def test_recompute_count_matches_log(self):
         tracker, tree = _tracker(window=4)

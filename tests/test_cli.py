@@ -507,18 +507,23 @@ class TestBench:
             {"positions": [3000]},
             {"positions": [1500, 1500]},
             {"positions": [2000, 1500]},
+            '{"positions": [150',
         ],
         ids=["no-positions", "list", "not-a-list", "float", "bool", "string", "zero",
-             "at-length", "repeated", "decreasing"],
+             "at-length", "repeated", "decreasing", "not-json"],
     )
     def test_bad_sidecar_fails_at_load(self, tmp_path, capsys, sidecar):
         stream_csv = self._generated(tmp_path, capsys)
         sidecar_path = stream_csv.with_suffix(".drifts.json")
-        sidecar_path.write_text(json.dumps(sidecar))
+        # a string is written as is: the sidecar's raw text
+        sidecar_path.write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
         out = tmp_path / "x"
         code, _, err = _run(["bench", "--stream", str(stream_csv), "--out", str(out)], capsys)
         assert code == 2
-        assert f"drift sidecar {sidecar_path}: 'positions' must be strictly increasing integers in [1, 3000)" in err
+        if isinstance(sidecar, str):
+            assert f"drift sidecar {sidecar_path}: not valid JSON (Expecting ',' delimiter" in err
+        else:
+            assert f"drift sidecar {sidecar_path}: 'positions' must be strictly increasing integers in [1, 3000)" in err
         assert not out.exists()
 
     def test_sidecar_positions_reach_the_scores(self, tmp_path, capsys):

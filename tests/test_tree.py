@@ -211,6 +211,16 @@ class TestFindLeaf:
         # the tie row goes left inside a batch too
         batch = tree.find_leaves(np.array([[0.9], [0.5], [0.1], [0.5]]))
         assert batch == [tree.root.right, tree.root.left, tree.root.left, tree.root.left]
+        # in 9 dimensions and below the root: the 0.5 row ties at the root and goes left, where
+        # it splits a child; every centroid and row is dyadic, so each distance below is exact
+        tree = _tree(m=9)
+        _feed(tree, [np.full(9, v) for v in (0.0, 1.0, 0.5)])
+        left, right = tree.root.left, tree.root.right
+        centroids = [node.centroid.tolist() for node in (left.left, left.right, right)]
+        assert centroids == [[v] * 9 for v in (0.0, 0.5, 1.0)]
+        rows = np.array([np.full(9, v) for v in (0.25, 0.625, 0.75)])  # ties at left, at the root, none
+        assert tree.find_leaves(rows) == [left.left, left.right, right]
+        assert tree.find_leaves(rows) == [_descend(tree, row) for row in rows]
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
@@ -219,20 +229,22 @@ class TestFindLeaf:
             _tree().find_leaves(np.empty((0, 1)))
 
     def test_routing_matches_update_path(self):
-        tree = _tree(m=2, window=8)
         rng = np.random.default_rng(12)
-        xs = rng.uniform(0, 1, size=(300, 2))
-        for t, x in enumerate(xs):
-            target = tree.find_leaf(x) if tree.root is not None else None
-            tree.update(x, 0.0, t)
-            if target is not None and target.is_leaf:
-                # the observation must have landed in the predicted leaf
-                assert target._ts[(target._start + target.size - 1) % target._w] == t
-            # every row seen so far lands in one batch where it lands alone,
-            # and where the write path's per-node choice sends it
-            batch = tree.find_leaves(xs[: t + 1])
-            assert batch == [tree.find_leaf(row) for row in xs[: t + 1]]
-            assert batch == [_descend(tree, row) for row in xs[: t + 1]]
+        for m in (2, 9):  # 9 features as in Agrawal, where row dot products have more terms to round
+            tree = _tree(m=m, window=8)
+            xs = rng.uniform(0, 1, size=(300, m))
+            for t, x in enumerate(xs):
+                target = tree.find_leaf(x) if tree.root is not None else None
+                tree.update(x, 0.0, t)
+                if target is not None and target.is_leaf:
+                    # the observation must have landed in the predicted leaf
+                    assert target._ts[(target._start + target.size - 1) % target._w] == t
+                # every row seen so far lands in one batch where it lands alone,
+                # and where the write path's per-node choice sends it
+                batch = tree.find_leaves(xs[: t + 1])
+                assert batch == [tree.find_leaf(row) for row in xs[: t + 1]]
+                assert batch == [_descend(tree, row) for row in xs[: t + 1]]
+            assert tree.node_count > 15
 
 
 class TestLocalChange:
