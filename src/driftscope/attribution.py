@@ -108,7 +108,8 @@ class AttributionTracker:
             known = dict(zip(self._node_ids, range(len(self._node_ids))))
             carry = np.array([known.get(node_id, -1) for node_id in [*node_ids, None]])  # -1: the spare
             self._node_ids, self._centroids, self._d2 = node_ids, self._centroids[carry], self._d2[:, carry]
-        moved = np.flatnonzero((centroids != self._centroids[:-1]).any(axis=1))
+        # leaf_positions reads only child columns, and the root is nobody's child: its column is left stale
+        moved = np.flatnonzero((centroids[1:] != self._centroids[1:-1]).any(axis=1)) + 1
         self._d2[:, moved] = distances(self.xs, centroids[moved])
         self._centroids[:-1] = centroids
         leaf_ids = np.array(node_ids)[self.tree.leaf_positions(self._d2)]

@@ -22,7 +22,7 @@ from .injection import MI_BINS, permute_inject
 from .pipeline import TRACKING_POLICIES, cdleeds_runner, ddm_runner, run_detection, run_tracking
 from .stream import BufferedStream, StreamSource, buffer_stream, read_csv
 
-DETECTOR_BUILDERS = ("cdleeds", "ddm")
+DETECTOR_RUNNERS = {"cdleeds": cdleeds_runner, "ddm": ddm_runner}
 
 
 # ----------------------------------------------------------------------
@@ -261,12 +261,9 @@ def _build_detectors(names: str, cfg) -> dict:
         name = name.strip()
         if not name:
             continue
-        if name == "cdleeds":
-            detectors[name] = cdleeds_runner(**detector_settings(cfg))
-        elif name == "ddm":
-            detectors[name] = ddm_runner(model=cfg["model"], learning_rate=cfg["learning_rate"])
-        else:
-            raise ValueError(f"unknown detector {name!r}; expected one of {DETECTOR_BUILDERS}")
+        if name not in DETECTOR_RUNNERS:
+            raise ValueError(f"unknown detector {name!r}; expected one of {tuple(DETECTOR_RUNNERS)}")
+        detectors[name] = DETECTOR_RUNNERS[name](**detector_settings(cfg))
     if not detectors:
         raise ValueError("need at least one detector")
     return detectors

@@ -4,7 +4,8 @@ A config file holds one ``key = value`` pair per line; values are
 parsed as JSON where possible (numbers, lists, booleans, null) and
 kept as bare strings otherwise. Blank lines and ``#`` comments are
 ignored. Command-line flags override file values, which override the
-built-in defaults.
+built-in defaults. A file's ``null`` is kept as ``None`` (``max_depth =
+null`` removes the depth cap); an unset flag overrides nothing.
 """
 
 from __future__ import annotations
@@ -132,14 +133,9 @@ def load_config(path: str | Path) -> dict:
 
 
 def merge_config(file_values: dict | None = None, overrides: dict | None = None) -> dict:
-    """Layer defaults, then file values, then non-None flag overrides."""
-    merged = dict(DEFAULTS)
-    for source in (file_values, overrides):
-        if not source:
-            continue
-        for key, value in source.items():
-            if value is not None:
-                merged[key] = value
+    """Layer defaults, then file values as given (``null`` too), then the flags that are not None."""
+    merged = {**DEFAULTS, **(file_values or {})}
+    merged.update({key: value for key, value in (overrides or {}).items() if value is not None})
     return merged
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .attribution import AttributionTracker, attribute_linear
 from .baseline import EwmaBaseline
-from .config import MODEL_KINDS, DetectorConfig
+from .config import DetectorConfig
 from .evaluation import DetectorRunner, DdmDetector
 from .models import GaussianNaiveBayes, OnlineLogisticRegression, detector_input
 from .stream import StreamSource, scaled
@@ -30,14 +30,13 @@ from .tree import SCOPE_GLOBAL, AdaptiveClusterTree, DriftAlert
 TRACKING_POLICIES = ("cdleeds", "never")
 
 
-def build_model(kind: str, n_features: int, n_classes: int, learning_rate: float = DetectorConfig.learning_rate):
-    if kind == "logreg":
-        if n_classes > 2:
-            raise ValueError(f"logreg handles binary streams only, got {n_classes} classes")
-        return OnlineLogisticRegression(n_features, learning_rate=learning_rate)
-    if kind == "gnb":
+def build_model(config: DetectorConfig, n_features: int, n_classes: int):
+    """The online classifier ``config.model`` names, sized for the stream."""
+    if config.model == "gnb":
         return GaussianNaiveBayes(n_features, n_classes)
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    if n_classes > 2:
+        raise ValueError(f"logreg handles binary streams only, got {n_classes} classes")
+    return OnlineLogisticRegression(n_features, learning_rate=config.learning_rate)
 
 
 def _predicted_class(prediction) -> int:
@@ -69,7 +68,7 @@ class _ChangeDetector:
     """The monitored model, its EWMA baseline, and the cluster tree."""
 
     def __init__(self, config: DetectorConfig, stream: StreamSource):
-        self.clf = build_model(config.model, stream.n_features, stream.n_classes, config.learning_rate)
+        self.clf = build_model(config, stream.n_features, stream.n_classes)
         self.baseline = EwmaBaseline(config.beta)
         self.tree = AdaptiveClusterTree(stream.n_features, config)
 
@@ -255,13 +254,16 @@ def cdleeds_runner(**settings) -> DetectorRunner:
     return run
 
 
-def ddm_runner(
-    model: str = DetectorConfig.model, learning_rate: float = DetectorConfig.learning_rate
-) -> DetectorRunner:
-    """Benchmark runner for the error-rate baseline detector."""
+def ddm_runner(**settings) -> DetectorRunner:
+    """Benchmark runner for the error-rate baseline detector.
+
+    ``settings`` are ``DetectorConfig`` fields, checked when the runner
+    is built; DDM uses only ``model`` and ``learning_rate``.
+    """
+    config = DetectorConfig(**settings)
 
     def run(stream: StreamSource) -> tuple[list[int], float]:
-        clf = build_model(model, stream.n_features, stream.n_classes, learning_rate)
+        clf = build_model(config, stream.n_features, stream.n_classes)
         ddm = DdmDetector()
         alerts: list[int] = []
         detector_seconds = 0.0

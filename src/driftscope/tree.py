@@ -145,16 +145,8 @@ class ClusterNode:
 
     def entries_in_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Window triples as (X, diffs, ts) arrays in arrival order."""
-        if self._start == 0:
-            sl = slice(0, self.size)
-            return self._xs[sl].copy(), self._diffs[sl].copy(), self._ts[sl].copy()
         order = (self._start + np.arange(self.size)) % self._w
         return self._xs[order], self._diffs[order], self._ts[order]
-
-    def ordered_diffs(self) -> np.ndarray:
-        if self._start == 0:
-            return self._diffs[: self.size]
-        return np.concatenate((self._diffs[self._start :], self._diffs[: self._start]))
 
 
 class AdaptiveClusterTree:
@@ -218,17 +210,11 @@ class AdaptiveClusterTree:
 
     def find_leaf(self, x: np.ndarray) -> ClusterNode:
         """Descend to the leaf whose centroid is most similar to x (ties go left)."""
-        return self.find_leaves(self._feature_vector(x)[None, :])[0]
-
-    def find_leaves(self, xs: np.ndarray) -> list[ClusterNode]:
-        """The leaf each row of the K x m matrix xs descends to, as ``find_leaf``."""
+        x = self._feature_vector(x)
         if not self.nodes:
             raise ValueError("tree is empty; update it with an observation first")
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.n_features:
-            raise ValueError(f"expected a matrix of shape (K, {self.n_features}), got {xs.shape}")
-        d2 = distances(xs, np.array([node.centroid for node in self.nodes]))
-        return [self.nodes[i] for i in self.leaf_positions(d2).tolist()]
+        d2 = distances(x[None, :], np.array([node.centroid for node in self.nodes]))
+        return self.nodes[self.leaf_positions(d2)[0]]
 
     def leaf_positions(self, d2: np.ndarray) -> np.ndarray:
         """The ``nodes`` position of the leaf each row reaches, from its K x N ``distances``.
@@ -361,7 +347,7 @@ class AdaptiveClusterTree:
         """
         if node.test_len < self.window:
             return None
-        diffs = node.ordered_diffs()
+        _, diffs, _ = node.entries_in_order()
         half = self.window // 2
         result = t_test_unpaired(diffs[:half], diffs[half:])
         node.last_p = result.p_value

@@ -2,13 +2,16 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftscope
 from driftscope.cli import build_parser, main
 from driftscope.config import (
     DEFAULTS,
@@ -171,6 +174,17 @@ class TestMergeAndValidate:
         cfg["max_depth"] = None
         validate_config(cfg)
 
+    def test_file_null_is_a_value(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("max_depth = null\nlabel_column = null\n")
+        # an unset flag arrives as None and must not restore the default
+        cfg = validate_config(merge_config(load_config(cfg_file), {"max_depth": None}))
+        assert cfg["max_depth"] is None
+        assert cfg["label_column"] is None
+        cfg_file.write_text("seed = null\n")
+        with pytest.raises(ValueError, match="config field 'seed'"):
+            validate_config(merge_config(load_config(cfg_file)))
+
 
 # One non-default value per DetectorConfig field, as typed on the command line.
 _FLAG_VALUES = {
@@ -254,11 +268,15 @@ class TestGenerate:
         assert not (tmp_path / "x" / "stream.csv").exists()
 
     def test_module_entry_point_runs(self, tmp_path):
+        # the child imports the package under test, installed or not
+        paths = [str(Path(driftscope.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         result = subprocess.run(
             [sys.executable, "-m", "driftscope", "generate", "--kind", "sea",
              "--length", "50", "--out", str(tmp_path / "m")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "m" / "stream.csv").exists()

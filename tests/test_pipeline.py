@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from driftscope.baseline import EwmaBaseline
+from driftscope.config import MODEL_KINDS, DetectorConfig
 from driftscope.generators import DriftSchedule, SeaStream
 from driftscope.injection import permute_inject
 from driftscope.models import GaussianNaiveBayes, OnlineLogisticRegression, detector_input
 from driftscope.pipeline import (
-    MODEL_KINDS,
     TRACKING_POLICIES,
     build_model,
     cdleeds_runner,
@@ -45,20 +45,17 @@ def _sea(length=3000, seed=0, positions=(), widths=None):
 
 class TestBuildModel:
     def test_logreg(self):
-        model = build_model("logreg", 3, 2)
+        model = build_model(DetectorConfig(learning_rate=0.25), 3, 2)
         assert isinstance(model, OnlineLogisticRegression)
+        assert model.learning_rate == 0.25
 
     def test_gnb(self):
-        model = build_model("gnb", 3, 4)
+        model = build_model(DetectorConfig(model="gnb"), 3, 4)
         assert isinstance(model, GaussianNaiveBayes)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown model kind"):
-            build_model("tree", 3, 2)
 
     def test_logreg_rejects_multiclass(self):
         with pytest.raises(ValueError, match="binary"):
-            build_model("logreg", 3, 5)
+            build_model(DetectorConfig(), 3, 5)
 
     def test_kind_listing(self):
         assert MODEL_KINDS == ("logreg", "gnb")
@@ -318,6 +315,10 @@ class TestRunners:
         stream = BufferedStream(features=features, labels=labels)
         alerts, _ = ddm_runner()(stream)
         assert len(alerts) <= 1
+
+    def test_ddm_runner_rejects_bad_setting_when_built(self):
+        with pytest.raises(ValueError, match="'model'"):
+            ddm_runner(model="svm")
 
 
 class TestDetectorInputWiring:

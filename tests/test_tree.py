@@ -13,6 +13,7 @@ from driftscope.tree import (
     SCOPE_LOCAL,
     AdaptiveClusterTree,
     _farthest_pair,
+    distances,
 )
 
 
@@ -27,6 +28,12 @@ def _descend(tree, x):
     while not node.is_leaf:
         node = tree._nearer_child(node, x)
     return node
+
+
+def _leaves(tree, xs):
+    """Batched read, as the attribution tracker routes: each row's leaf from its distances to every centroid."""
+    d2 = distances(np.asarray(xs, dtype=float), np.array([node.centroid for node in tree.nodes]))
+    return [tree.nodes[i] for i in tree.leaf_positions(d2).tolist()]
 
 
 def _preorder(node):
@@ -187,29 +194,25 @@ class TestFindLeaf:
         _feed(tree, [0.0, 1.0])
         assert tree.find_leaf(np.array([0.1])) is tree.root.left
         assert tree.find_leaf(np.array([0.9])) is tree.root.right
-        assert tree.find_leaves(np.empty((0, 1))) == []
+        assert _leaves(tree, np.empty((0, 1))) == []
 
     def test_rejects_matrix_of_wrong_width(self):
         tree = _tree(m=3)
         _feed(tree, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.9, 0.1, 0.5]])
         assert tree.node_count > 1
-        assert tree.find_leaves(np.empty((0, 3))) == []
+        assert _leaves(tree, np.empty((0, 3))) == []
         for bad, shape in ((np.array([0.5]), r"\(1,\)"), (0.5, r"\(\)"), (np.zeros((1, 3)), r"\(1, 3\)")):
             # reads and writes reject a malformed vector with the same message
             for call in (lambda: tree.find_leaf(bad), lambda: tree.update(bad, 0.0, 10)):
                 with pytest.raises(ValueError, match=r"feature vector of shape \(3,\), got " + shape):
                     call()
-        with pytest.raises(ValueError, match=r"\(K, 3\), got \(0, 1\)"):
-            tree.find_leaves(np.empty((0, 1)))
-        with pytest.raises(ValueError, match=r"\(K, 3\), got \(3,\)"):
-            tree.find_leaves(np.array([0.5, 0.5, 0.5]))
 
     def test_tie_goes_left(self):
         tree = _tree()
         _feed(tree, [0.0, 1.0])
         assert tree.find_leaf(np.array([0.5])) is tree.root.left
         # the tie row goes left inside a batch too
-        batch = tree.find_leaves(np.array([[0.9], [0.5], [0.1], [0.5]]))
+        batch = _leaves(tree, [[0.9], [0.5], [0.1], [0.5]])
         assert batch == [tree.root.right, tree.root.left, tree.root.left, tree.root.left]
         # in 9 dimensions and below the root: the 0.5 row ties at the root and goes left, where
         # it splits a child; every centroid and row is dyadic, so each distance below is exact
@@ -219,14 +222,12 @@ class TestFindLeaf:
         centroids = [node.centroid.tolist() for node in (left.left, left.right, right)]
         assert centroids == [[v] * 9 for v in (0.0, 0.5, 1.0)]
         rows = np.array([np.full(9, v) for v in (0.25, 0.625, 0.75)])  # ties at left, at the root, none
-        assert tree.find_leaves(rows) == [left.left, left.right, right]
-        assert tree.find_leaves(rows) == [_descend(tree, row) for row in rows]
+        assert _leaves(tree, rows) == [left.left, left.right, right]
+        assert _leaves(tree, rows) == [_descend(tree, row) for row in rows]
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
             _tree().find_leaf(np.array([0.5]))
-        with pytest.raises(ValueError):
-            _tree().find_leaves(np.empty((0, 1)))
 
     def test_routing_matches_update_path(self):
         rng = np.random.default_rng(12)
@@ -241,7 +242,7 @@ class TestFindLeaf:
                     assert target._ts[(target._start + target.size - 1) % target._w] == t
                 # every row seen so far lands in one batch where it lands alone,
                 # and where the write path's per-node choice sends it
-                batch = tree.find_leaves(xs[: t + 1])
+                batch = _leaves(tree, xs[: t + 1])
                 assert batch == [tree.find_leaf(row) for row in xs[: t + 1]]
                 assert batch == [_descend(tree, row) for row in xs[: t + 1]]
             assert tree.node_count > 15
