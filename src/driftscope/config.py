@@ -44,7 +44,11 @@ class DetectorConfig:
     - ``window``: window capacity w per node; even and >= 4 so the test
       halves are balanced.
     - ``max_age``: a branch whose least-recently-updated child lags the
-      parent by at least this many updates is pruned.
+      parent by at least this many updates is pruned. The lag counts the
+      parent's own updates, so a child with a small share of the traffic
+      lags 100 routinely; the default 1000 keeps such a child, at the
+      cost that an obsolete branch takes up to 1000 parent updates to
+      be pruned.
     - ``max_depth``: depth cap; leaves at the cap absorb dissimilar
       points instead of splitting. ``None`` removes the cap, 0 forces a
       single leaf.
@@ -58,7 +62,7 @@ class DetectorConfig:
     alpha: float = 0.01
     beta: float = 0.001
     window: int = 200
-    max_age: int = 100
+    max_age: int = 1000
     max_depth: int | None = 5
 
     def __post_init__(self):

@@ -244,8 +244,10 @@ def run_tracking(
 def cdleeds_runner(**settings) -> DetectorRunner:
     """Benchmark runner scoring the tree's global alerts.
 
-    ``settings`` are ``DetectorConfig`` fields, as for ``run_detection``.
+    ``settings`` are ``DetectorConfig`` fields, as for ``run_detection``,
+    checked when the runner is built.
     """
+    DetectorConfig(**settings)
 
     def run(stream: StreamSource) -> tuple[list[int], float]:
         result = run_detection(stream, **settings)

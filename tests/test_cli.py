@@ -115,7 +115,7 @@ class TestMergeAndValidate:
         assert DEFAULTS["alpha"] == 0.01
         assert DEFAULTS["beta"] == 0.001
         assert DEFAULTS["window"] == 200
-        assert DEFAULTS["max_age"] == 100
+        assert DEFAULTS["max_age"] == 1000
         assert DEFAULTS["max_depth"] == 5
         assert DEFAULTS["warmup"] == 1000
 

@@ -46,19 +46,19 @@ CASES = {
          "--positions", "1500", "--seed", "5"],
         DETECT_FILES,
     ),
-    # long enough for hundreds of leaf splits with replayed windows
+    # long enough for hundreds of leaf splits with replayed windows, under the churning max_age 100
     "detect-agrawal-gnb-long": (
         ["detect", "--kind", "agrawal", "--model", "gnb", "--length", "10000",
-         "--positions", "2500", "5000", "7500", "--seed", "5"],
+         "--positions", "2500", "5000", "7500", "--seed", "5", "--max-age", "100"],
         DETECT_FILES,
     ),
     "track-cdleeds": ([*TRACK, "--policy", "cdleeds"], TRACK_FILES),
     "track-never": ([*TRACK, "--policy", "never"], TRACK_FILES),
     "track-cdleeds-no-oracle": ([*TRACK, "--policy", "cdleeds", "--no-oracle"], TRACK_FILES),
-    # a deep tree (over 63 nodes, hundreds of splits and prunes) under 100 tracked rows
+    # a deep tree (over 63 nodes, hundreds of splits and prunes at max_age 100) under 100 tracked rows
     "track-deep": (
         [*TRACK, "--sample-size", "100", "--sample-prefix", "1000", "--window", "16",
-         "--max-depth", "8"],
+         "--max-depth", "8", "--max-age", "100"],
         TRACK_FILES,
     ),
     "bench": (

@@ -5,7 +5,7 @@ import pytest
 
 from driftscope.baseline import EwmaBaseline
 from driftscope.config import MODEL_KINDS, DetectorConfig
-from driftscope.generators import DriftSchedule, SeaStream
+from driftscope.generators import AgrawalStream, DriftSchedule, SeaStream
 from driftscope.injection import permute_inject
 from driftscope.models import GaussianNaiveBayes, OnlineLogisticRegression, detector_input
 from driftscope.pipeline import (
@@ -184,6 +184,20 @@ class TestRunDetection:
         assert result.total_seconds >= result.mean_update_seconds * result.steps
 
 
+class TestTreeSettles:
+    # A full depth-5 tree takes 31 splits; the bound allows as many structure changes again.
+    MAX_STRUCTURE_CHANGES = 62
+
+    @pytest.mark.parametrize(
+        "generator,model", [(SeaStream, "logreg"), (AgrawalStream, "gnb")], ids=["sea-logreg", "agrawal-gnb"]
+    )
+    def test_default_tree_settles_on_stationary_stream(self, generator, model):
+        result = run_detection(generator(length=20000, seed=1), model=model)
+        counts = [node_count for _, node_count, _ in result.stats]
+        changes = sum(a != b for a, b in zip(counts, counts[1:]))
+        assert changes <= self.MAX_STRUCTURE_CHANGES
+
+
 class TestRunTracking:
     def test_policy_listing(self):
         assert TRACKING_POLICIES == ("cdleeds", "never")
@@ -319,6 +333,10 @@ class TestRunners:
     def test_ddm_runner_rejects_bad_setting_when_built(self):
         with pytest.raises(ValueError, match="'model'"):
             ddm_runner(model="svm")
+
+    def test_cdleeds_runner_rejects_bad_setting_when_built(self):
+        with pytest.raises(ValueError, match="'model'"):
+            cdleeds_runner(model="svm")
 
 
 class TestDetectorInputWiring:

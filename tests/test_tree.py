@@ -311,6 +311,19 @@ class TestPrune:
         first_prune = counts.index(1)
         assert first_prune <= 10
 
+    def test_default_max_age_prunes_starved_branch_after_max_age_updates(self):
+        # The cost side of a large default: an obsolete branch lives for max_age parent updates.
+        max_age = DetectorConfig().max_age
+        tree = AdaptiveClusterTree(1, DetectorConfig(window=8))
+        _feed(tree, [0.2, 0.8] * 20)
+        assert tree.node_count == 3
+        counts = []
+        for k in range(max_age):
+            tree.update(np.array([0.2]), 0.0, 40 + k)
+            counts.append(tree.node_count)
+        assert counts[:-1] == [3] * (max_age - 1)
+        assert counts[-1] == 1
+
     def test_alternating_traffic_never_prunes(self):
         tree = self._grow_two_cluster_tree(max_age=10)
         xs = []
