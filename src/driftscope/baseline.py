@@ -34,9 +34,3 @@ class EwmaBaseline:
         else:
             self.ewma = self.beta * x + (1.0 - self.beta) * self.ewma
         return self.ewma
-
-    def value(self, model):
-        """The model's output at the current baseline vector."""
-        if self.ewma is None:
-            raise ValueError("baseline is not initialized; update it with an observation first")
-        return model.predict(self.ewma)

@@ -104,6 +104,11 @@ def _concept_index(schedule: DriftSchedule, t: int, rng: np.random.Generator) ->
     return idx
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """One draw of ``rng.uniform(lo, hi)``, by the same arithmetic without its per-call overhead."""
+    return lo + (hi - lo) * rng.random()
+
+
 class _GeneratorBase(StreamSource):
     """Common drift sequencing and noise level for the synthetic generators."""
 
@@ -238,15 +243,15 @@ class AgrawalStream(_GeneratorBase):
 
     def _emit(self, t: int, rng: np.random.Generator) -> Observation:
         concept = self.concepts[_concept_index(self.schedule, t, rng)]
-        salary = rng.uniform(20_000.0, 150_000.0)
-        commission = 0.0 if salary >= 75_000.0 else rng.uniform(10_000.0, 75_000.0)
-        age = rng.uniform(20.0, 80.0)
+        salary = _uniform(rng, 20_000.0, 150_000.0)
+        commission = 0.0 if salary >= 75_000.0 else _uniform(rng, 10_000.0, 75_000.0)
+        age = _uniform(rng, 20.0, 80.0)
         elevel = int(rng.integers(0, 5))
         car = int(rng.integers(1, 21))
         zipcode = int(rng.integers(0, 9))
-        hvalue = (9.0 - zipcode) * 100_000.0 * rng.uniform(0.5, 1.5)
+        hvalue = (9.0 - zipcode) * 100_000.0 * _uniform(rng, 0.5, 1.5)
         hyears = float(rng.integers(1, 31))
-        loan = rng.uniform(0.0, 500_000.0)
+        loan = _uniform(rng, 0.0, 500_000.0)
         label = AGRAWAL_RULES[concept](salary, commission, age, elevel)
         if self.perturbation > 0.0:
             salary = self._perturb(rng, salary, 20_000.0, 150_000.0)

@@ -1,9 +1,12 @@
 """Incrementally trained classifiers monitored by the detector.
 
 Both models follow the same two-call protocol used by the prequential
-loop: ``predict(x)`` first (test), then ``update(x, y, prediction)``
-(train) with that same prediction. The logistic model returns a
-positive-class probability; naive Bayes returns a posterior vector, and
+loop: ``predict(xs)`` first (test), then ``update(x, y, prediction)``
+(train) with the prediction of x. ``predict`` takes one feature vector
+or a batch with a leading axis, so the loop predicts an observation and
+the baseline input in one call. The logistic model returns a
+positive-class probability (a list of them for a batch); naive Bayes
+returns a posterior vector (one row per batch row), and
 ``detector_input`` reduces either form to the scalar the detector uses.
 """
 
@@ -40,9 +43,12 @@ class OnlineLogisticRegression:
         """Pre-sigmoid score w.x + b."""
         return float(self.weights @ x) + self.bias
 
-    def predict(self, x: np.ndarray) -> float:
-        """Positive-class probability."""
-        return _sigmoid(self.margin(x))
+    def predict(self, x: np.ndarray):
+        """Positive-class probability of x, or a list of them for the rows of a batch."""
+        dots = np.vecdot(x, self.weights).tolist()
+        if isinstance(dots, float):
+            return _sigmoid(dots + self.bias)
+        return [_sigmoid(dot + self.bias) for dot in dots]
 
     def update(self, x: np.ndarray, y: int, prediction: float | None = None) -> None:
         """One gradient step on the log loss; ``prediction`` is ``predict(x)`` if known."""
@@ -63,7 +69,8 @@ class GaussianNaiveBayes:
     ``variances`` is the class x feature matrix of sample variances (n-1
     denominator) floored at ``VARIANCE_FLOOR``; a class with fewer than
     two observations sits at the floor. ``update`` refreshes its class's
-    row of it and of ``log(2*pi*var)``, so ``predict`` is whole-matrix math.
+    row of it and of ``log(2*pi*var)``, and the class log-priors, so
+    ``predict`` is whole-matrix math.
     """
 
     def __init__(self, n_features: int, n_classes: int):
@@ -76,36 +83,40 @@ class GaussianNaiveBayes:
         self._m2 = np.zeros((n_classes, n_features), dtype=float)
         self.variances = np.full((n_classes, n_features), VARIANCE_FLOOR)
         self._log_norm = np.log(2.0 * np.pi * self.variances)
+        self._log_prior: np.ndarray | None = None  # log(count / total) per class, -inf if unseen
 
     def update(self, x: np.ndarray, y: int, prediction=None) -> None:
         if not 0 <= y < self.n_classes:
             raise ValueError(f"label {y} outside 0..{self.n_classes - 1}")
         x = np.asarray(x, dtype=float)
-        self.counts[y] += 1
-        delta = x - self.means[y]
-        self.means[y] += delta / self.counts[y]
-        self._m2[y] += delta * (x - self.means[y])
-        if self.counts[y] > 1:
-            self.variances[y] = np.maximum(self._m2[y] / (self.counts[y] - 1), VARIANCE_FLOOR)
-            self._log_norm[y] = np.log(2.0 * np.pi * self.variances[y])
+        n = int(self.counts[y]) + 1
+        self.counts[y] = n
+        mean = self.means[y]
+        delta = x - mean
+        mean += delta / n
+        m2 = self._m2[y]
+        m2 += delta * (x - mean)
+        if n > 1:
+            var = np.maximum(m2 / (n - 1), VARIANCE_FLOOR, out=self.variances[y])
+            np.log(2.0 * np.pi * var, out=self._log_norm[y])
+        counts = self.counts.tolist()
+        total = sum(counts)
+        self._log_prior = np.array([math.log(c / total) if c else -math.inf for c in counts])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Posterior probability vector over all classes.
+        """Posterior probability vector over all classes, one per row for a batch.
 
         Classes never seen get probability zero; at least one class must
         have been observed.
         """
-        total = int(self.counts.sum())
-        if total == 0:
+        if self._log_prior is None:
             raise ValueError("cannot predict before any training observation")
-        x = np.asarray(x, dtype=float)
-        lls = -0.5 * (self._log_norm + (x - self.means) ** 2 / self.variances).sum(axis=1)
-        log_post = np.full(self.n_classes, -np.inf)
-        for k in np.flatnonzero(self.counts).tolist():
-            log_post[k] = lls[k] + math.log(self.counts[k] / total)
-        shift = log_post - log_post.max()
-        post = np.exp(shift)
-        return post / post.sum()
+        x = np.asarray(x, dtype=float)[..., None, :]
+        # ufunc reductions called directly: the ndarray methods add a Python wrapper per call
+        lls = -0.5 * np.add.reduce(self._log_norm + np.square(x - self.means) / self.variances, axis=-1)
+        log_post = lls + self._log_prior
+        post = np.exp(log_post - np.maximum.reduce(log_post, axis=-1, keepdims=True))
+        return post / np.add.reduce(post, axis=-1, keepdims=True)
 
 
 def detector_input(model_out, baseline_out) -> float:
@@ -116,15 +127,15 @@ def detector_input(model_out, baseline_out) -> float:
     p(k* | x) - p(k* | baseline) with k* = argmax over the observation's
     posterior.
     """
-    scalar_out = np.isscalar(model_out) or getattr(model_out, "ndim", 0) == 0
-    scalar_base = np.isscalar(baseline_out) or getattr(baseline_out, "ndim", 0) == 0
-    if scalar_out and scalar_base:
-        return float(model_out) - float(baseline_out)
-    if scalar_out != scalar_base:
-        raise ValueError("model and baseline outputs must both be scalars or both be vectors")
+    if isinstance(model_out, float) and isinstance(baseline_out, float):
+        return float(model_out - baseline_out)
     mo = np.asarray(model_out, dtype=float)
     bo = np.asarray(baseline_out, dtype=float)
+    if (mo.ndim == 0) != (bo.ndim == 0):
+        raise ValueError("model and baseline outputs must both be scalars or both be vectors")
     if mo.shape != bo.shape:
         raise ValueError(f"output shapes differ: {mo.shape} vs {bo.shape}")
+    if mo.ndim == 0:
+        return float(mo) - float(bo)
     k = int(mo.argmax())
     return float(mo[k] - bo[k])

@@ -3,13 +3,14 @@
 Every run goes through one test-then-train engine, ``_prequential``.
 Step 0 only trains the model (and seeds the change detector's baseline),
 so every later step sees a model that has been trained at least once.
-From step 1 on the engine predicts each observation exactly once, hands
-that pre-update prediction to the run's own step (accuracy, the
-detector's diff, DDM's correctness indicator), and trains on the label
-only after the step is done. Feature vectors are scaled to the unit box
-first (declared generator ranges, or a min-max fit for buffered data)
-so that the tree's similarity threshold means the same thing on every
-stream.
+From step 1 on the engine first moves the baseline input by the
+observation, then predicts the observation and the baseline input in
+one call on the 2 x m array [x, baseline]. It hands both pre-update
+predictions to the run's own step (accuracy, the detector's diff, DDM's
+correctness indicator), and trains on the label only after the step is
+done. Feature vectors are scaled to the unit box first (declared
+generator ranges, or a min-max fit for buffered data) so that the
+tree's similarity threshold means the same thing on every stream.
 """
 
 from __future__ import annotations
@@ -40,27 +41,33 @@ def build_model(config: DetectorConfig, n_features: int, n_classes: int):
 
 
 def _predicted_class(prediction) -> int:
-    if np.ndim(prediction) == 0:
+    if isinstance(prediction, float):
         return int(prediction >= 0.5)
-    return int(np.argmax(prediction))
+    return int(prediction.argmax())
 
 
 def _prequential(stream: StreamSource, clf, baseline: EwmaBaseline | None = None):
     """Test-then-train over the stream, scaled into the unit box.
 
-    Yields ``(item, prediction)`` for every step t >= 1, where ``item``
-    is the scaled observation and ``prediction`` the model's one
-    prediction of ``item.x`` before it trains on ``item``; training
-    happens when the consumer asks for the next step, and reuses that
-    prediction. Step 0 only trains the model and seeds ``baseline``.
+    Yields ``(item, prediction, baseline_prediction)`` for every step
+    t >= 1: the scaled observation, the model's one prediction of
+    ``item.x`` before it trains on ``item``, and, with a ``baseline``
+    (updated with ``item.x`` first; step 0 seeds it), the prediction of
+    the baseline input from the same ``predict`` call, else None.
+    Training happens when the consumer asks for the next step, and
+    reuses that prediction.
     """
     for item in scaled(stream):
         x = item.x
-        prediction = clf.predict(x) if item.t else None
-        if prediction is not None:
-            yield item, prediction
-        elif baseline is not None:
-            baseline.update(x)
+        if baseline is not None:
+            ewma = baseline.update(x)
+        prediction = None
+        if item.t:
+            if baseline is None:
+                prediction, baseline_prediction = clf.predict(x), None
+            else:
+                prediction, baseline_prediction = clf.predict(np.array((x, ewma)))
+            yield item, prediction, baseline_prediction
         clf.update(x, item.y, prediction)
 
 
@@ -72,10 +79,9 @@ class _ChangeDetector:
         self.baseline = EwmaBaseline(config.beta)
         self.tree = AdaptiveClusterTree(stream.n_features, config)
 
-    def detect(self, x: np.ndarray, prediction, t: int) -> list[DriftAlert]:
-        """Local and global alerts of step t, given the model's prediction of x."""
-        self.baseline.update(x)
-        alerts = self.tree.update(x, detector_input(prediction, self.baseline.value(self.clf)), t)
+    def detect(self, x: np.ndarray, prediction, baseline_prediction, t: int) -> list[DriftAlert]:
+        """Local and global alerts of step t, given the model's predictions of x and the baseline input."""
+        alerts = self.tree.update(x, detector_input(prediction, baseline_prediction), t)
         global_alert = self.tree.test_global_change()
         if global_alert is not None:
             alerts.append(global_alert)
@@ -115,12 +121,12 @@ def run_detection(stream: StreamSource, **settings) -> RunResult:
     steps = 0
     detector_seconds = 0.0
     started = time.perf_counter()
-    for item, prediction in _prequential(stream, detector.clf, detector.baseline):
+    for item, prediction, baseline_prediction in _prequential(stream, detector.clf, detector.baseline):
         t = item.t
         correct += _predicted_class(prediction) == item.y
         steps += 1
         tick = time.perf_counter()
-        alerts.extend(detector.detect(item.x, prediction, t))
+        alerts.extend(detector.detect(item.x, prediction, baseline_prediction, t))
         detector_seconds += time.perf_counter() - tick
         stats.append((t, tree.node_count, tree.leaf_count))
     total_seconds = time.perf_counter() - started
@@ -196,11 +202,11 @@ def run_tracking(
     detector_seconds = 0.0
     steps = 0
     started = time.perf_counter()
-    for item, prediction in _prequential(stream, clf, detector.baseline):
+    for item, prediction, baseline_prediction in _prequential(stream, clf, detector.baseline):
         t, x = item.t, item.x
         steps += 1
         tick = time.perf_counter()
-        alerts = detector.detect(x, prediction, t)
+        alerts = detector.detect(x, prediction, baseline_prediction, t)
         base_vec = detector.baseline.ewma
         stale = tracker.step(alerts) if policy == "cdleeds" and tracker.history else []
         for row, reason in stale:
@@ -270,7 +276,7 @@ def ddm_runner(**settings) -> DetectorRunner:
         alerts: list[int] = []
         detector_seconds = 0.0
         steps = 0
-        for item, prediction in _prequential(stream, clf):
+        for item, prediction, _ in _prequential(stream, clf):
             steps += 1
             is_correct = _predicted_class(prediction) == item.y
             tick = time.perf_counter()

@@ -7,9 +7,11 @@ windows grow incoherent under an RBF similarity threshold split in two;
 branches starved of traffic are pruned by an age rule. Drift is tested
 locally per leaf (older window half vs newer half) and globally by
 combining the leaf-level p-values with Fisher's method. The nodes live
-in one preorder list, which the global test and batched reads walk. Reads
-route a batch from its squared distances to all centroids in one pass with
-no loop over levels (``leaf_positions``), so a caller may keep distances.
+in one preorder list. A write walks down a level at a time, each one
+subtraction and one ``vecdot`` against the node's ``pair`` (its children's
+centroids as rows). Reads route a batch from its squared distances to all
+centroids in one pass with no loop over levels (``leaf_positions``), so a
+caller may keep distances.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ def _farthest_pair(xs: np.ndarray) -> tuple[int, int]:
 
 
 def distances(xs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """K x N squared distances, as stacked row dot products that round as ``_nearer_child``'s do."""
+    """K x N squared distances, as row dot products that round as ``_nearer_child``'s do."""
     d = xs[:, None, :] - centroids[None, :, :]
-    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
+    return np.vecdot(d, d)
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,7 @@ class ClusterNode:
         "right",
         "last_p",
         "centroid",
+        "pair",
         "_w",
         "_xs",
         "_diffs",
@@ -92,13 +95,14 @@ class ClusterNode:
         "_appends",
     )
 
-    def __init__(self, node_id: int, depth: int, window: int, n_features: int, seed: np.ndarray, age: int = 0):
+    def __init__(self, node_id: int, depth: int, window: int, n_features: int, centroid: np.ndarray, age: int = 0):
         self.node_id = node_id
         self.depth = depth
         self.age = age
         self.left: ClusterNode | None = None
         self.right: ClusterNode | None = None
         self.last_p: float | None = None
+        self.pair: np.ndarray | None = None  # while internal: the children's centroids as rows
         self._w = window
         self._xs = np.empty((window, n_features), dtype=float)
         self._diffs = np.empty(window, dtype=float)
@@ -106,7 +110,7 @@ class ClusterNode:
         self._start = 0
         self.size = 0
         self._sum = np.zeros(n_features, dtype=float)
-        self.centroid = np.asarray(seed, dtype=float).copy()
+        self.centroid = centroid  # kept at the window mean in place: a child's is a row of its parent's pair
         self.test_len = 0
         self._appends = 0
 
@@ -137,16 +141,23 @@ class ClusterNode:
         self._appends += 1
         if self._appends % _EXACT_SUM_EVERY == 0:
             self._sum = self._xs[: self.size].sum(axis=0)
-        self.centroid = self._sum / self.size
+        np.divide(self._sum, self.size, out=self.centroid)
 
     def window_observations(self) -> np.ndarray:
         """All stored feature vectors (storage order, all rows valid)."""
         return self._xs[: self.size]
 
+    def _in_order(self, column: np.ndarray) -> np.ndarray:
+        # the oldest entry sits at _start, which moves off 0 only once the window is full
+        return np.concatenate((column[self._start : self.size], column[: self._start]))
+
     def entries_in_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Window triples as (X, diffs, ts) arrays in arrival order."""
-        order = (self._start + np.arange(self.size)) % self._w
-        return self._xs[order], self._diffs[order], self._ts[order]
+        return self._in_order(self._xs), self._in_order(self._diffs), self._in_order(self._ts)
+
+    def diffs_in_order(self) -> np.ndarray:
+        """Window diffs in arrival order."""
+        return self._in_order(self._diffs)
 
 
 class AdaptiveClusterTree:
@@ -169,7 +180,9 @@ class AdaptiveClusterTree:
         self.max_age = config.max_age
         self.max_depth = config.max_depth
         self.nodes: list[ClusterNode] = []
-        self._routing: tuple | None = None  # leaf_positions' tables, dropped when the structure changes
+        # dropped when the structure changes: leaf_positions' tables and the preorder leaf list
+        self._routing: tuple | None = None
+        self._leaves: list[ClusterNode] | None = None
         self.local_tests_run = 0
         self.local_alerts_raised = 0
         self.global_tests_run = 0
@@ -184,8 +197,8 @@ class AdaptiveClusterTree:
     # structure
     # ------------------------------------------------------------------
 
-    def _new_node(self, depth: int, seed: np.ndarray, age: int = 0) -> ClusterNode:
-        node = ClusterNode(self._next_id, depth, self.window, self.n_features, seed, age)
+    def _new_node(self, depth: int, centroid: np.ndarray, age: int = 0) -> ClusterNode:
+        node = ClusterNode(self._next_id, depth, self.window, self.n_features, centroid, age)
         self._next_id += 1
         return node
 
@@ -242,9 +255,9 @@ class AdaptiveClusterTree:
 
     @staticmethod
     def _nearer_child(node: ClusterNode, x: np.ndarray) -> ClusterNode:
-        dl = x - node.left.centroid
-        dr = x - node.right.centroid
-        return node.left if float(dl @ dl) <= float(dr @ dr) else node.right
+        d = x - node.pair
+        dl2, dr2 = np.vecdot(d, d).tolist()
+        return node.left if dl2 <= dr2 else node.right
 
     # ------------------------------------------------------------------
     # updates
@@ -258,33 +271,44 @@ class AdaptiveClusterTree:
         if self._last_t is not None and t <= self._last_t:
             raise ValueError(f"time steps must be strictly increasing, got {t} after {self._last_t}")
         if not self.nodes:
-            self.nodes.append(self._new_node(0, x))
-            self._routing = None
+            self.nodes.append(self._new_node(0, x.copy()))
+            self._routing = self._leaves = None
         alerts: list[DriftAlert] = []
         self._update_node(self.nodes[0], x, diff, t, alerts)
         self._last_t = t
         return alerts
 
     def _update_node(self, node: ClusterNode, x: np.ndarray, diff: float, t: int, alerts: list[DriftAlert]) -> None:
-        node.age += 1
-        node.append(x, diff, t)
-        if node.is_leaf:
-            if node.size >= 2 and (self.max_depth is None or node.depth < self.max_depth):
-                gaps = node.window_observations() - node.centroid
-                if float((gaps * gaps).sum(axis=1).max()) > self._dist2_threshold:
-                    alerts.extend(self.split_leaf(node))
-                    return
+        """Walk x down from ``node`` to a leaf, aging and appending at each node, by nearer children.
+
+        The leaf splits or runs its local test; then, bottom up, each child on the path takes its
+        parent's age, and a parent whose other child lags ``max_age`` of its updates behind is pruned.
+        """
+        parents = []
+        while True:
+            node.age += 1
+            node.append(x, diff, t)
+            if node.left is None:
+                break
+            parents.append(node)
+            node = self._nearer_child(node, x)
+        split = node.size >= 2 and (self.max_depth is None or node.depth < self.max_depth)
+        if split:
+            gaps = node.window_observations() - node.centroid
+            split = float((gaps * gaps).sum(axis=1).max()) > self._dist2_threshold
+        if split:
+            alerts.extend(self.split_leaf(node))
+        else:
             alert = self.test_local_change(node)
             if alert is not None:
                 alerts.append(alert)
-        else:
-            child = self._nearer_child(node, x)
-            self._update_node(child, x, diff, t, alerts)
-            child.age = node.age
-            if node.age - min(node.left.age, node.right.age) >= self.max_age:
-                alert = self.prune(node)
+        for parent in reversed(parents):
+            node.age = parent.age
+            if parent.age - min(parent.left.age, parent.right.age) >= self.max_age:
+                alert = self.prune(parent)
                 if alert is not None:
                     alerts.append(alert)
+            node = parent
 
     def split_leaf(self, node: ClusterNode) -> list[DriftAlert]:
         """Split a leaf in two and replay its window into the children.
@@ -305,12 +329,13 @@ class AdaptiveClusterTree:
         if len(xs) < 2:
             raise ValueError("cannot split a window with fewer than 2 observations")
         i, j = _farthest_pair(xs)
-        left = self._new_node(node.depth + 1, xs[i], age=node.age)
-        right = self._new_node(node.depth + 1, xs[j], age=node.age)
+        node.pair = xs[[i, j]]
+        left = self._new_node(node.depth + 1, node.pair[0], age=node.age)
+        right = self._new_node(node.depth + 1, node.pair[1], age=node.age)
         node.left, node.right = left, right
         at = self.nodes.index(node) + 1
         self.nodes[at:at] = [left, right]
-        self._routing = None
+        self._routing = self._leaves = None
         alerts: list[DriftAlert] = []
         for k in range(len(xs)):
             child = self._nearer_child(node, xs[k])
@@ -330,8 +355,8 @@ class AdaptiveClusterTree:
         while end < len(self.nodes) and self.nodes[end].depth > node.depth:
             end += 1
         del self.nodes[start:end]
-        self._routing = None
-        node.left = node.right = None
+        self._routing = self._leaves = None
+        node.left = node.right = node.pair = None
         return self.test_local_change(node, kind=KIND_PRUNE_RETEST)
 
     # ------------------------------------------------------------------
@@ -347,7 +372,7 @@ class AdaptiveClusterTree:
         """
         if node.test_len < self.window:
             return None
-        _, diffs, _ = node.entries_in_order()
+        diffs = node.diffs_in_order()
         half = self.window // 2
         result = t_test_unpaired(diffs[:half], diffs[half:])
         node.last_p = result.p_value
@@ -379,11 +404,9 @@ class AdaptiveClusterTree:
             return None
         if self._last_t <= self._suppress_until:
             return None
-        ps = [
-            node.last_p
-            for node in self.nodes
-            if node.is_leaf and node.size == self.window and node.last_p is not None
-        ]
+        if self._leaves is None:
+            self._leaves = [node for node in self.nodes if node.left is None]
+        ps = [node.last_p for node in self._leaves if node.size == self.window and node.last_p is not None]
         if not ps:
             return None
         self.global_tests_run += 1

@@ -228,10 +228,12 @@ class TestAttributionTracker:
         tracker = AttributionTracker(tree)
         rng = np.random.default_rng(5)
 
-        def walk(x):
+        def walk(x):  # the nearer child by 1-D dot products at each node, ties left
             node = tree.root
             while not node.is_leaf:
-                node = tree._nearer_child(node, x)
+                dl = x - node.left.centroid
+                dr = x - node.right.centroid
+                node = node.left if float(dl @ dl) <= float(dr @ dr) else node.right
             return node.node_id
 
         walked, reasons, node_sets = [], [], [set()]

@@ -1,5 +1,6 @@
 """Synthetic generator behavior: rules, drift schedules, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -220,6 +221,23 @@ class TestAgrawalStream:
     def test_rejects_unsupported_function(self):
         with pytest.raises(ValueError, match="functions"):
             AgrawalStream(length=100, concepts=(3,))
+
+    @pytest.mark.parametrize(
+        "perturbation, digest",
+        [
+            (0.1, "55a166dbf912ca2821f8029448d5af50f2e1ef432887d85be34d702b3c2fefa3"),
+            (0.0, "250634648bf166500c5b8a632f1a279c3b9b465f3ee17ee577addda2e1591743"),
+        ],
+    )
+    def test_gradual_stream_is_frozen(self, perturbation, digest):
+        # taken from the generator that drew with rng.uniform: drawing faster must not change a bit
+        schedule = DriftSchedule(positions=(750, 1500, 2250), widths=(300, 300, 300))
+        features, labels = _labels_and_features(
+            AgrawalStream(3000, concepts=(0, 1, 2, 0), schedule=schedule, perturbation=perturbation, seed=7)
+        )
+        h = hashlib.sha256(features.tobytes())
+        h.update(labels.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestMakeGenerator:

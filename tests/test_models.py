@@ -47,20 +47,6 @@ class TestEwmaBaseline:
             b.update(rng.uniform(lo, hi, size=3))
             assert np.all(b.ewma >= lo) and np.all(b.ewma <= hi)
 
-    def test_value_requires_initialization(self):
-        b = EwmaBaseline()
-        model = OnlineLogisticRegression(2)
-        with pytest.raises(ValueError):
-            b.value(model)
-
-    def test_value_evaluates_model_at_baseline(self):
-        b = EwmaBaseline(beta=1.0)
-        b.update(np.array([1.0, 1.0]))
-        model = OnlineLogisticRegression(2)
-        model.weights[:] = [2.0, -1.0]
-        model.bias = 0.5
-        assert b.value(model) == pytest.approx(0.81757447619364365, abs=1e-9)
-
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             EwmaBaseline(beta=1.5)
@@ -199,6 +185,47 @@ class TestCachedNaiveBayes:
         assert model.counts[once] == 1
         if n_classes > 2:
             assert model.counts[pool] == 0
+
+
+def _margin_probability(model, x):
+    """Reference probability: the sigmoid of the margin's own w @ x + b."""
+    z = model.margin(x)
+    return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
+
+
+class TestBatchedPredict:
+    def test_naive_bayes_batch_matches_rows(self):
+        rng = np.random.default_rng(31)
+        model = GaussianNaiveBayes(3, 3)
+        for _ in range(40):
+            model.update(rng.random(3), 0)
+        model.update(rng.random(3), 1)  # seen once: its variances sit at the floor
+        assert model.counts.tolist() == [40, 1, 0]  # class 2 is never seen
+        np.testing.assert_array_equal(model.variances[1], VARIANCE_FLOOR)
+        xs = rng.random((6, 3))
+        xs[4] = model.means[1]  # where the floored class wins
+        xs[5] = model.means[2]  # where the unseen class would win with any prior
+        batch = model.predict(xs)
+        assert batch.shape == (6, 3)
+        for x, row in zip(xs, batch):
+            assert np.array_equal(row, model.predict(x))
+            assert np.array_equal(row, _loop_predict(model, x))
+        assert (batch[:, 2] == 0.0).all()
+        assert batch[4, 1] > 0.5
+        assert np.array_equal(model.predict(xs[:1]), batch[:1])
+
+    def test_logistic_batch_matches_rows(self):
+        rng = np.random.default_rng(32)
+        model = OnlineLogisticRegression(3)
+        for _ in range(200):
+            x = rng.random(3)
+            model.update(x, int(x.sum() > 1.5))
+        xs = rng.normal(scale=20.0, size=(6, 3))
+        batch = model.predict(xs)
+        assert batch == [model.predict(x) for x in xs]
+        assert batch == [_margin_probability(model, x) for x in xs]
+        assert all(type(p) is float for p in batch)
+        assert model.predict(xs[:1]) == batch[:1]
 
 
 class TestDetectorInput:

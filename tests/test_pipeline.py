@@ -161,8 +161,8 @@ class TestRunDetection:
             GaussianNaiveBayes, "predict", lambda model, x: calls.append(1) or predict(model, x)
         )
         result = run_detection(_sea(300, seed=6), model="gnb")
-        # one prediction of the observation, one of the baseline input
-        assert len(calls) == 2 * result.steps
+        # one call a step predicts the observation and the baseline input together
+        assert len(calls) == result.steps
 
     def test_logreg_trains_on_the_engine_prediction(self, monkeypatch):
         calls = []
@@ -171,8 +171,8 @@ class TestRunDetection:
             OnlineLogisticRegression, "predict", lambda model, x: calls.append(1) or predict(model, x)
         )
         result = run_detection(_sea(300, seed=6), model="logreg")
-        # two predictions a step as for gnb; training at step 0 has no prediction to reuse
-        assert len(calls) == 2 * result.steps + 1
+        # one call a step as for gnb; training at step 0 has no prediction to reuse
+        assert len(calls) == result.steps + 1
 
     def test_invalid_setting_names_field(self):
         with pytest.raises(ValueError, match="'window'"):
@@ -350,7 +350,8 @@ class TestDetectorInputWiring:
         baseline.update(items[0].x)
         clf.update(items[0].x, items[0].y)
         baseline.update(items[1].x)
-        diff = detector_input(clf.predict(items[1].x), baseline.value(clf))
+        prediction, baseline_prediction = clf.predict(np.array((items[1].x, baseline.ewma)))
+        diff = detector_input(prediction, baseline_prediction)
         assert isinstance(diff, float)
         # constant stream: observation equals the baseline, so no gap
         assert diff == pytest.approx(0.0, abs=1e-12)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from driftscope import tree as tree_module
 from driftscope.config import DetectorConfig
+from driftscope.numerics import fisher_combine
 from driftscope.tree import (
     KIND_CHANGE_TEST,
     KIND_PRUNE_RETEST,
@@ -23,10 +25,12 @@ def _tree(m=1, gamma=0.95, alpha=0.01, window=8, max_age=1000, max_depth=5):
 
 
 def _descend(tree, x):
-    """Reference read: the per-node routing of the update path."""
+    """Reference walk: at each node the nearer child by 1-D dot products, ties left."""
     node = tree.root
     while not node.is_leaf:
-        node = tree._nearer_child(node, x)
+        dl = x - node.left.centroid
+        dr = x - node.right.centroid
+        node = node.left if float(dl @ dl) <= float(dr @ dr) else node.right
     return node
 
 
@@ -236,10 +240,11 @@ class TestFindLeaf:
             xs = rng.uniform(0, 1, size=(300, m))
             for t, x in enumerate(xs):
                 target = tree.find_leaf(x) if tree.root is not None else None
+                assert target is (_descend(tree, x) if target is not None else None)
                 tree.update(x, 0.0, t)
                 if target is not None and target.is_leaf:
-                    # the observation must have landed in the predicted leaf
-                    assert target._ts[(target._start + target.size - 1) % target._w] == t
+                    # the write path's walk must have landed x in the predicted leaf
+                    assert target.newest_t == t
                 # every row seen so far lands in one batch where it lands alone,
                 # and where the write path's per-node choice sends it
                 batch = _leaves(tree, xs[: t + 1])
@@ -453,6 +458,27 @@ class TestGlobalChange:
         again = tree.test_global_change()
         assert again is not None and again.t == 8
 
+    def test_pool_follows_splits_and_prunes(self, monkeypatch):
+        # every Fisher pool holds the p-values of the current leaves, in preorder, however the tree changed
+        pools = []
+        monkeypatch.setattr(tree_module, "fisher_combine", lambda ps: pools.append(ps) or fisher_combine(ps))
+        rng = np.random.default_rng(2024)
+        tree = AdaptiveClusterTree(2, DetectorConfig(window=10, alpha=1e-12, max_age=50, max_depth=4))
+        shapes = set()
+        for t in range(2000):
+            tree.update(rng.uniform(0, 1, size=2), float(rng.normal()), t)
+            tree.test_global_change()
+            shapes.add(tuple(node.node_id for node in tree.nodes))
+            expected = [
+                node.last_p
+                for node in _preorder(tree.root)
+                if node.is_leaf and node.size == tree.window and node.last_p is not None
+            ]
+            if expected:
+                assert pools.pop() == expected
+            assert not pools
+        assert len(shapes) > 50
+
 
 class TestInvariants:
     def test_structure_and_memory_bounds_under_fuzz(self):
@@ -507,6 +533,28 @@ class TestInvariants:
             prev_count = tree.node_count
         # some prunes dropped a subtree two or more levels deep (>= 4 nodes)
         assert len(pruned) > 0 and max(pruned) >= 4
+
+    @pytest.mark.parametrize("m", [2, 9])
+    def test_pairs_are_the_childrens_centroids(self, m):
+        # the streams of test_routing_matches_update_path, with a short max_age so branches also prune
+        rng = np.random.default_rng(12)
+        tree = _tree(m=m, window=8, max_age=12)
+        splits = prunes = 0
+        for t, x in enumerate(rng.uniform(0, 1, size=(300, m))):
+            count = tree.node_count
+            tree.update(x, 0.0, t)
+            splits += tree.node_count > count
+            prunes += tree.node_count < count
+            for node in tree.nodes:
+                if node.is_leaf:
+                    assert node.pair is None
+                    continue
+                for row, child in zip(node.pair, (node.left, node.right)):
+                    # the row is the child's centroid array itself, kept at its window mean
+                    assert np.shares_memory(row, child.centroid) and row.shape == child.centroid.shape
+                    assert np.array_equal(child.centroid, child._sum / child.size)
+                    np.testing.assert_allclose(child.centroid, child.window_observations().mean(axis=0), atol=1e-12)
+        assert splits > 10 and prunes > 5
 
     def test_split_conserves_window_multiset(self):
         rng = np.random.default_rng(99)
