@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import DEFAULTS, MODEL_KINDS, detector_settings, load_config, merge_config, validate_config
 from .evaluation import run_benchmark
-from .generators import AGRAWAL_RULES, SEA_THRESHOLDS, DriftSchedule, make_generator
+from .generators import GENERATORS, DriftSchedule, make_generator
 from .injection import MI_BINS, permute_inject
 from .pipeline import TRACKING_POLICIES, cdleeds_runner, ddm_runner, run_detection, run_tracking
 from .stream import BufferedStream, StreamSource, buffer_stream, read_csv
@@ -80,7 +80,7 @@ def _write_stream_files(out: Path, name: str, stream: BufferedStream, meta: dict
 
 
 def _default_concepts(kind: str, n_drifts: int) -> tuple[int, ...]:
-    n_available = len(SEA_THRESHOLDS) if kind == "sea" else len(AGRAWAL_RULES)
+    n_available = len(GENERATORS[kind].concept_table)
     return tuple(i % n_available for i in range(n_drifts + 1))
 
 
@@ -130,7 +130,7 @@ def _load_stream(args, cfg) -> StreamSource:
         return _read_stream(args.input, cfg)
     if args.kind:
         return buffer_stream(_build_generator(args, cfg["seed"]))
-    raise ValueError("need a stream: pass --input CSV or --kind sea|agrawal")
+    raise ValueError(f"need a stream: pass --input CSV or --kind {'|'.join(GENERATORS)}")
 
 
 # ----------------------------------------------------------------------
@@ -330,10 +330,8 @@ def _add_detector_flags(parser, with_model: bool = True):
 
 
 def _add_generator_flags(parser, kind_required: bool):
-    if kind_required:
-        parser.add_argument("--kind", required=True, choices=("sea", "agrawal"), help="generator family")
-    else:
-        parser.add_argument("--kind", choices=("sea", "agrawal"), help="generate the stream in-process")
+    kind_help = "generator family" if kind_required else "generate the stream in-process"
+    parser.add_argument("--kind", required=kind_required, choices=tuple(GENERATORS), help=kind_help)
     parser.add_argument("--length", type=int, default=10000, help="stream length")
     parser.add_argument("--concepts", type=int, nargs="+", help="concept index sequence (one more than drifts)")
     parser.add_argument("--positions", type=int, nargs="*", default=(), help="drift positions")

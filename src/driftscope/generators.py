@@ -110,9 +110,19 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
 
 
 class _GeneratorBase(StreamSource):
-    """Common drift sequencing and noise level for the synthetic generators."""
+    """Common drift sequencing and noise level for the synthetic generators.
 
-    def __init__(self, length: int, concepts, schedule: DriftSchedule | None, perturbation: float, seed: int):
+    A family declares its concepts once, as ``concept_table`` (a concept
+    is an index into it), and ``concept_error``, the message for an index
+    outside it.
+    """
+
+    concept_table: tuple
+    concept_error: str
+
+    def __init__(
+        self, length: int, concepts=(0,), schedule: DriftSchedule | None = None, perturbation: float = 0.1, seed: int = 0
+    ):
         if length < 1:
             raise ValueError(f"stream length must be >= 1, got {length}")
         if not 0.0 <= perturbation < 1.0:
@@ -126,6 +136,8 @@ class _GeneratorBase(StreamSource):
                 f"{len(self.schedule.positions)} drifts need "
                 f"{len(self.schedule.positions) + 1} concepts, got {len(self.concepts)}"
             )
+        if any(not 0 <= c < len(self.concept_table) for c in self.concepts):
+            raise ValueError(self.concept_error.format(self.concepts))
         self.length = length
         self.seed = seed
         self.drift_positions = self.schedule.positions
@@ -151,18 +163,8 @@ class SeaStream(_GeneratorBase):
     n_classes = 2
     feature_names = ("f0", "f1", "f2")
     feature_ranges = ((0.0, 10.0), (0.0, 10.0), (0.0, 10.0))
-
-    def __init__(
-        self,
-        length: int,
-        concepts=(0,),
-        schedule: DriftSchedule | None = None,
-        perturbation: float = 0.1,
-        seed: int = 0,
-    ):
-        super().__init__(length, concepts, schedule, perturbation, seed)
-        if any(not 0 <= c < len(SEA_THRESHOLDS) for c in self.concepts):
-            raise ValueError(f"SEA concepts must index {SEA_THRESHOLDS}, got {self.concepts}")
+    concept_table = SEA_THRESHOLDS
+    concept_error = f"SEA concepts must index {SEA_THRESHOLDS}, got {{}}"
 
     def _emit(self, t: int, rng: np.random.Generator) -> Observation:
         concept = self.concepts[_concept_index(self.schedule, t, rng)]
@@ -222,20 +224,8 @@ class AgrawalStream(_GeneratorBase):
         (1.0, 30.0),  # hyears
         (0.0, 500_000.0),  # loan
     )
-
-    def __init__(
-        self,
-        length: int,
-        concepts=(0,),
-        schedule: DriftSchedule | None = None,
-        perturbation: float = 0.1,
-        seed: int = 0,
-    ):
-        super().__init__(length, concepts, schedule, perturbation, seed)
-        if any(not 0 <= c < len(AGRAWAL_RULES) for c in self.concepts):
-            raise ValueError(
-                f"Agrawal concepts must index functions 0..{len(AGRAWAL_RULES) - 1}, got {self.concepts}"
-            )
+    concept_table = AGRAWAL_RULES
+    concept_error = f"Agrawal concepts must index functions 0..{len(AGRAWAL_RULES) - 1}, got {{}}"
 
     def _perturb(self, rng, value, lo, hi):
         value += self.perturbation * (hi - lo) * (2.0 * rng.random() - 1.0)
@@ -269,9 +259,11 @@ class AgrawalStream(_GeneratorBase):
         return Observation(t, x, label)
 
 
+GENERATORS = {"sea": SeaStream, "agrawal": AgrawalStream}
+
+
 def make_generator(kind: str, **kwargs) -> StreamSource:
-    """Instantiate a generator by name ('sea' or 'agrawal')."""
-    kinds = {"sea": SeaStream, "agrawal": AgrawalStream}
-    if kind not in kinds:
-        raise ValueError(f"unknown generator kind {kind!r}; expected one of {sorted(kinds)}")
-    return kinds[kind](**kwargs)
+    """Instantiate a generator by its ``GENERATORS`` name."""
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator kind {kind!r}; expected one of {sorted(GENERATORS)}")
+    return GENERATORS[kind](**kwargs)

@@ -3,15 +3,17 @@
 The tree incrementally partitions the input space. Every node keeps a
 bounded FIFO window of (x, diff, t) triples, where diff is the gap
 between the model's prediction and its baseline prediction. Leaves whose
-windows grow incoherent under an RBF similarity threshold split in two;
-branches starved of traffic are pruned by an age rule. Drift is tested
-locally per leaf (older window half vs newer half) and globally by
-combining the leaf-level p-values with Fisher's method. The nodes live
-in one preorder list. A write walks down a level at a time, each one
-subtraction and one ``vecdot`` against the node's ``pair`` (its children's
-centroids as rows). Reads route a batch from its squared distances to all
-centroids in one pass with no loop over levels (``leaf_positions``), so a
-caller may keep distances.
+windows grow incoherent under an RBF similarity threshold split in two,
+seeded by their window's two most distant rows (an exact scan of the
+pairs, one row at a time); branches starved of traffic are pruned by an
+age rule. Drift is tested locally per leaf (older window half vs newer
+half) and globally by combining the leaf-level p-values with Fisher's
+method. The nodes live in one preorder list. A write walks down a level
+at a time, each one subtraction and one ``vecdot`` against the node's
+``pair`` (its children's centroids as rows). Reads route a batch from
+its squared distances to all centroids in one pass with no loop over
+levels (``leaf_positions``), so a caller may keep distances. Reads and
+writes reject a non-finite vector.
 """
 
 from __future__ import annotations
@@ -36,17 +38,14 @@ _EXACT_SUM_EVERY = 4096
 
 def _farthest_pair(xs: np.ndarray) -> tuple[int, int]:
     """The first pair i < j, in row-major order, of largest ``((xs[i] - xs[j])**2).sum()``."""
-    ys = xs / (np.abs(xs).max() or 1.0)  # entries in [-1, 1]: no square overflows
-    sq = (ys * ys).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (ys @ ys.T)
-    d2[np.tri(len(xs), dtype=bool)] = -np.inf  # keep i < j
-    # The Gram form errs by under 1e-14 * m * max ||y||^2, so every pair tying the exact
-    # maximum lies within this margin of the Gram maximum and is rechecked.
-    margin = 1e-10 * xs.shape[1] * float(sq.max())
-    i, j = np.nonzero(d2 >= d2.max() - margin)
-    d = xs[i] - xs[j]
-    k = int((d * d).sum(axis=1).argmax())
-    return int(i[k]), int(j[k])
+    best, pair = -1.0, (0, 1)
+    for i in range(len(xs) - 1):
+        d = xs[i + 1 :] - xs[i]
+        d2 = (d * d).sum(axis=1)
+        k = int(d2.argmax())
+        if d2[k] > best:  # strict: an equal pair in a later row comes later in row-major order
+            best, pair = d2[k], (i, i + 1 + k)
+    return pair
 
 
 def distances(xs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -219,6 +218,8 @@ class AdaptiveClusterTree:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_features,):
             raise ValueError(f"expected feature vector of shape ({self.n_features},), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("feature vector must be finite")
         return x
 
     def find_leaf(self, x: np.ndarray) -> ClusterNode:
@@ -266,8 +267,8 @@ class AdaptiveClusterTree:
     def update(self, x: np.ndarray, diff: float, t: int) -> list[DriftAlert]:
         """Route one observation through the tree; returns alerts raised."""
         x = self._feature_vector(x)
-        if not (np.isfinite(x).all() and math.isfinite(diff)):
-            raise ValueError("update requires finite inputs")
+        if not math.isfinite(diff):
+            raise ValueError("update requires a finite diff")
         if self._last_t is not None and t <= self._last_t:
             raise ValueError(f"time steps must be strictly increasing, got {t} after {self._last_t}")
         if not self.nodes:
@@ -314,14 +315,13 @@ class AdaptiveClusterTree:
         """Split a leaf in two and replay its window into the children.
 
         The two most distant window observations (first such pair i < j in
-        arrival order on ties) seed the child centroids. One Gram product
-        ranks all pairs; those within its rounding margin of the top are
-        recomputed from their differences, so the pair is exactly the one
-        a full difference scan picks. Each window triple then runs through
-        the nearer child's own update path, so child centroids track their
-        window means and a child may itself split. Both children inherit
-        the parent's age and enter ``nodes`` right after it, before the
-        replay. The parent keeps its own window and becomes internal.
+        arrival order on ties), found by an exact scan of every pair's
+        squared difference, seed the child centroids. Each window triple
+        then runs through the nearer child's own update path, so child
+        centroids track their window means and a child may itself split.
+        Both children inherit the parent's age and enter ``nodes`` right
+        after it, before the replay. The parent keeps its own window and
+        becomes internal.
         """
         if not node.is_leaf:
             raise ValueError("split_leaf requires a leaf")
@@ -392,8 +392,9 @@ class AdaptiveClusterTree:
     def test_global_change(self) -> DriftAlert | None:
         """Fisher-combine the latest leaf p-values into one global test.
 
-        Every leaf with a full observation window and a completed local
-        test contributes its most recent p-value, including a leaf that
+        Every leaf with a completed local test contributes its most recent
+        p-value (a test needs a full window, and a window never shrinks, so
+        that leaf's observation window is full), including a leaf that
         just alerted and cleared its diff view: its evidence stays on
         record until a fresh test replaces it. The combined p is
         compared against a dependency-adjusted level alpha*(N+1)/(2N).
@@ -406,7 +407,7 @@ class AdaptiveClusterTree:
             return None
         if self._leaves is None:
             self._leaves = [node for node in self.nodes if node.left is None]
-        ps = [node.last_p for node in self._leaves if node.size == self.window and node.last_p is not None]
+        ps = [node.last_p for node in self._leaves if node.last_p is not None]
         if not ps:
             return None
         self.global_tests_run += 1

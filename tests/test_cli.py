@@ -240,6 +240,21 @@ class TestGenerate:
         assert meta["positions"] == [250]
         assert meta["kind"] == "sea"
 
+    @pytest.mark.parametrize("kind, concepts", [("sea", [0, 1, 2, 3, 0]), ("agrawal", [0, 1, 2, 0])])
+    def test_default_concepts_cycle_through_the_family(self, tmp_path, capsys, kind, concepts):
+        positions = [str(100 * (k + 1)) for k in range(len(concepts) - 1)]
+        out = tmp_path / kind
+        code, _, _ = _run(
+            ["generate", "--kind", kind, "--length", "600", "--positions", *positions, "--out", str(out)], capsys
+        )
+        assert code == 0
+        assert json.loads((out / "stream.drifts.json").read_text())["concepts"] == concepts
+
+    def test_unknown_kind_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["generate", "--kind", "stagger", "--out", str(tmp_path)])
+        assert "invalid choice: 'stagger'" in capsys.readouterr().err
+
     def test_same_seed_identical_files(self, tmp_path, capsys):
         args = ["generate", "--kind", "agrawal", "--length", "300", "--seed", "9"]
         a, b = tmp_path / "a", tmp_path / "b"

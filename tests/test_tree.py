@@ -174,9 +174,9 @@ class TestFarthestPair:
                 xs = np.tile(rng.random(m), (w, 1))
             elif kind == 3:  # far outside the unit box
                 xs = rng.random((w, m)) * 1e3
-            elif kind == 4:  # exact ties outside the unit box, inexact Gram entries
+            elif kind == 4:  # exact ties outside the unit box: three repeated values
                 xs = rng.choice([0.1, 0.7, 1.3], size=(w, m)) * 1e3 / 3.0
-            else:  # near ties: distances a hair apart, closer than the Gram margin
+            else:  # near ties: grid values moved by under 1e-12, so distances differ by a hair
                 xs = rng.integers(0, 3, size=(w, m)) / 2.0 + rng.random((w, m)) * 1e-12
             assert _farthest_pair(xs) == _scan_farthest_pair(xs), (trial, w, kind)
 
@@ -210,6 +210,15 @@ class TestFindLeaf:
             for call in (lambda: tree.find_leaf(bad), lambda: tree.update(bad, 0.0, 10)):
                 with pytest.raises(ValueError, match=r"feature vector of shape \(3,\), got " + shape):
                     call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_vector(self, bad):
+        tree = _tree(m=2)
+        _feed(tree, [[0.0, 0.0], [1.0, 1.0]])
+        # reads reject what writes reject
+        for call in (tree.find_leaf, lambda x: tree.update(x, 0.0, 10)):
+            with pytest.raises(ValueError, match="finite"):
+                call(np.array([0.5, bad]))
 
     def test_tie_goes_left(self):
         tree = _tree()
@@ -439,10 +448,9 @@ class TestGlobalChange:
 
     def test_partial_observation_window_leaves_do_not_contribute(self):
         tree = _tree(window=8, max_depth=0)
-        _feed(tree, [0.5] * 6, diffs=[0.0] * 6)
-        # white-box: an untested p on a still-filling leaf must sit out
-        tree.root.last_p = 0.001
-        assert tree.root.size < tree.window
+        # a local test runs only on a full window, so a still-filling leaf holds no p-value to pool
+        _feed(tree, [0.5] * 6, diffs=[0.0] * 3 + [5.0] * 3)
+        assert tree.root.size < tree.window and tree.root.last_p is None
         assert tree.test_global_change() is None
 
     def test_alerted_leaf_keeps_contributing_while_diffs_refill(self):
@@ -495,7 +503,7 @@ class TestInvariants:
 
         tree.prune = counting_prune
         thr = -2.0 * math.log(0.95)
-        prev_count = 0
+        prev_count = tested = 0
         for t in range(2000):
             x = rng.uniform(0, 1, size=2)
             tree.update(x, float(rng.normal()), t)
@@ -509,6 +517,9 @@ class TestInvariants:
                 n_nodes += 1
                 total_entries += node.size
                 assert (node.left is None) == (node.right is None)
+                # the global test pools every leaf with a p-value: each one holds a full window
+                assert node.last_p is None or node.size == tree.window
+                tested += node.last_p is not None
                 if node.size:
                     np.testing.assert_allclose(
                         node.centroid, node.window_observations().mean(axis=0), atol=1e-9
@@ -533,6 +544,7 @@ class TestInvariants:
             prev_count = tree.node_count
         # some prunes dropped a subtree two or more levels deep (>= 4 nodes)
         assert len(pruned) > 0 and max(pruned) >= 4
+        assert tested > 0
 
     @pytest.mark.parametrize("m", [2, 9])
     def test_pairs_are_the_childrens_centroids(self, m):
