@@ -11,8 +11,11 @@ The tracker keeps attributions for a set of pinned feature vectors and
 flags one as stale only when the cluster tree reassigns its vector to a
 different leaf or raises a local change alert at its leaf. It keeps one
 row per pinned vector, in pin order, with its squared distances to the
-node centroids, recomputed only where a centroid moved. The caller recomputes
-the flagged rows with whatever explainer it uses; the rest is reused as-is.
+node centroids. After a write that kept the tree's structure, only the
+nodes on the write's path moved: it recomputes their distances, re-decides
+their parents, and walks down again only the rows whose decision flipped.
+The caller recomputes the flagged rows with whatever explainer it uses;
+the rest is reused as-is.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ class AttributionTracker:
     alerts. A row is stale when the tree routes its vector to a different
     leaf or raises a local alert at its leaf; a leaf change takes
     precedence when both apply at the same step. The caller recomputes
-    stale rows and stores them with ``refresh``.
+    stale rows and stores them with ``refresh``. A step that follows a
+    split, a prune or more than one write recomputes every distance.
     """
 
     def __init__(self, tree: AdaptiveClusterTree):
@@ -82,17 +86,22 @@ class AttributionTracker:
         self.phis = np.empty((0, tree.n_features))
         self.leaf_ids = np.empty(0, dtype=np.int64)
         self.history: list[list[tuple[str, AttributionVector]]] = []
-        # _d2[row, j] is xs[row]'s distance to _centroids[j], the centroid node _node_ids[j] had at the
-        # last step. Both end in a spare entry: a NaN centroid, which no centroid equals.
-        self._node_ids: list[int] = []
-        self._centroids, self._d2 = np.full((1, tree.n_features), np.nan), np.empty((0, 1))
+        # As of the tree's (writes, reshapes) _seen, _d2[j, row] is xs[row]'s distance to the centroid of
+        # tree.nodes[j], and _at[tree.nodes[j]] is j. _seen None: recompute them all at the next step.
+        self._seen: tuple[int, int] | None = None
+        self._d2, self._at = np.empty((0, 0)), {}
 
     def track(self, x: np.ndarray, vec: AttributionVector) -> int:
-        self.leaf_ids = np.append(self.leaf_ids, self.tree.find_leaf(x).node_id)
+        tree = self.tree
+        self.leaf_ids = np.append(self.leaf_ids, tree.find_leaf(x).node_id)
         self.xs = np.vstack((self.xs, x))
         self.phis = np.vstack((self.phis, vec.phi))
-        self._d2 = np.vstack((self._d2, distances(self.xs[-1:], self._centroids)))
         self.history.append([(REASON_INITIAL, vec)])
+        if self._seen == (tree.writes, tree.reshapes):
+            centroids = np.array([node.centroid for node in tree.nodes])
+            self._d2 = np.hstack((self._d2, distances(centroids, self.xs[-1:])))
+        else:
+            self._seen = None
         return len(self.history) - 1
 
     def refresh(self, row: int, vec: AttributionVector, reason: str) -> None:
@@ -102,21 +111,29 @@ class AttributionTracker:
 
     def step(self, alerts: list[DriftAlert]) -> list[tuple[int, str]]:
         """(row, reason) for each row gone stale, in row order."""
-        node_ids = [node.node_id for node in self.tree.nodes]
-        centroids = np.array([node.centroid for node in self.tree.nodes])
-        if node_ids != self._node_ids:  # a split or prune: carry the surviving columns over by node id
-            known = dict(zip(self._node_ids, range(len(self._node_ids))))
-            carry = np.array([known.get(node_id, -1) for node_id in [*node_ids, None]])  # -1: the spare
-            self._node_ids, self._centroids, self._d2 = node_ids, self._centroids[carry], self._d2[:, carry]
-        # leaf_positions reads only child columns, and the root is nobody's child: its column is left stale
-        moved = np.flatnonzero((centroids[1:] != self._centroids[1:-1]).any(axis=1)) + 1
-        self._d2[:, moved] = distances(self.xs, centroids[moved])
-        self._centroids[:-1] = centroids
-        leaf_ids = np.array(node_ids)[self.tree.leaf_positions(self._d2)]
+        tree, at, leaf_ids = self.tree, self._at, self.leaf_ids
+        seen, self._seen = self._seen, (tree.writes, tree.reshapes)
+        moved = tree.path[1:]  # no decision reads the root's distance, so it is left stale
+        if moved and seen == (tree.writes - 1, tree.reshapes):  # one write, structure kept: only its path moved
+            kids = np.array([at[child] for node in tree.path[:-1] for child in (node.left, node.right)])
+            before = self._d2[kids]
+            self._d2[[at[node] for node in moved]] = distances(np.array([node.centroid for node in moved]), self.xs)
+            after = self._d2[kids]
+            rows = ((before[::2] <= before[1::2]) != (after[::2] <= after[1::2])).any(axis=0).nonzero()[0].tolist()
+            leaf_ids = leaf_ids.copy()
+            for row in rows:  # only a flipped decision can move a row: walk those down again
+                node, d2 = tree.nodes[0], self._d2[:, row].tolist()
+                while node.left is not None:
+                    node = node.left if d2[at[node.left]] <= d2[at[node.right]] else node.right
+                leaf_ids[row] = node.node_id
+        elif seen != self._seen:  # missed writes or a new structure: recompute every distance
+            self._d2 = distances(np.array([node.centroid for node in tree.nodes]), self.xs)
+            self._at = {node: j for j, node in enumerate(tree.nodes)}
+            leaf_ids = np.array([node.node_id for node in tree.nodes])[tree.leaf_positions(self._d2.T)]
         changed, self.leaf_ids = leaf_ids != self.leaf_ids, leaf_ids
         alerted = [a.node_id for a in alerts if a.scope == SCOPE_LOCAL]
         stale = changed | np.isin(leaf_ids, alerted) if alerted else changed
-        rows = np.flatnonzero(stale).tolist()
+        rows = stale.nonzero()[0].tolist()
         return [(row, REASON_LEAF_CHANGE if changed[row] else REASON_LOCAL_ALERT) for row in rows]
 
     def trace_rows(self):

@@ -106,6 +106,8 @@ def permute_inject(
         raise ValueError("need at least one injection position")
     if list(positions) != sorted(set(positions)):
         raise ValueError(f"injection positions must be strictly increasing, got {positions}")
+    if positions[0] < 1:
+        raise ValueError(f"injection position {positions[0]} must be at least 1: the rows before it rank the features")
     if positions[-1] >= stream.length:
         raise ValueError(
             f"injection position {positions[-1]} is beyond the stream length {stream.length}"

@@ -57,7 +57,7 @@ class StreamSource:
 
 @dataclass
 class BufferedStream(StreamSource):
-    """A fully materialized stream backed by numpy arrays."""
+    """A fully materialized stream backed by numpy arrays; labels are class ids, integers >= 0."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -70,6 +70,10 @@ class BufferedStream(StreamSource):
             raise ValueError("features must be a 2-d array")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with feature rows")
+        bad = np.flatnonzero(self.labels < 0) if self.labels.dtype.kind in "iu" else range(len(self.labels))
+        if len(bad):
+            label = f"{self.labels[bad[0]].item()!r} ({self.labels.dtype})"
+            raise ValueError(f"row {bad[0]}: label {label} is not a class id, an integer >= 0")
         self.length = int(self.features.shape[0])
         self.n_features = int(self.features.shape[1])
         self.n_classes = int(self.labels.max()) + 1 if self.length else 0

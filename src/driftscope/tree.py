@@ -12,8 +12,9 @@ method. The nodes live in one preorder list. A write walks down a level
 at a time, each one subtraction and one ``vecdot`` against the node's
 ``pair`` (its children's centroids as rows). Reads route a batch from
 its squared distances to all centroids in one pass with no loop over
-levels (``leaf_positions``), so a caller may keep distances. Reads and
-writes reject a non-finite vector.
+levels (``leaf_positions``), so a caller may keep distances, and refresh
+only those to the nodes a write appended to when the structure stayed.
+Reads and writes reject a non-finite vector.
 """
 
 from __future__ import annotations
@@ -167,6 +168,9 @@ class AdaptiveClusterTree:
     ``window``, ``max_age`` and ``max_depth``, documented and checked by
     ``DetectorConfig``. ``nodes`` holds every node in preorder (left
     before right), the order in which Fisher's method sums leaf p-values.
+    ``path`` lists the nodes the latest ``update`` appended to, root to
+    leaf; ``writes`` counts the updates and ``reshapes`` the structure
+    changes (root creation, split, prune).
     """
 
     def __init__(self, n_features: int, config: DetectorConfig = DetectorConfig()):
@@ -179,6 +183,8 @@ class AdaptiveClusterTree:
         self.max_age = config.max_age
         self.max_depth = config.max_depth
         self.nodes: list[ClusterNode] = []
+        self.path: list[ClusterNode] = []
+        self.writes = self.reshapes = 0
         # dropped when the structure changes: leaf_positions' tables and the preorder leaf list
         self._routing: tuple | None = None
         self._leaves: list[ClusterNode] | None = None
@@ -213,6 +219,10 @@ class AdaptiveClusterTree:
     def leaf_count(self) -> int:
         # splits add two children, prunes drop whole branches: the tree stays full binary
         return (self.node_count + 1) // 2
+
+    def _reshaped(self) -> None:
+        self._routing = self._leaves = None
+        self.reshapes += 1
 
     def _feature_vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -273,25 +283,27 @@ class AdaptiveClusterTree:
             raise ValueError(f"time steps must be strictly increasing, got {t} after {self._last_t}")
         if not self.nodes:
             self.nodes.append(self._new_node(0, x.copy()))
-            self._routing = self._leaves = None
+            self._reshaped()
         alerts: list[DriftAlert] = []
-        self._update_node(self.nodes[0], x, diff, t, alerts)
+        self.writes += 1
+        self.path = self._update_node(self.nodes[0], x, diff, t, alerts)
         self._last_t = t
         return alerts
 
-    def _update_node(self, node: ClusterNode, x: np.ndarray, diff: float, t: int, alerts: list[DriftAlert]) -> None:
+    def _update_node(self, node: ClusterNode, x: np.ndarray, diff: float, t: int, alerts: list[DriftAlert]) -> list:
         """Walk x down from ``node`` to a leaf, aging and appending at each node, by nearer children.
 
         The leaf splits or runs its local test; then, bottom up, each child on the path takes its
         parent's age, and a parent whose other child lags ``max_age`` of its updates behind is pruned.
+        Returns the nodes appended to, top down.
         """
-        parents = []
+        path = []
         while True:
             node.age += 1
             node.append(x, diff, t)
+            path.append(node)
             if node.left is None:
                 break
-            parents.append(node)
             node = self._nearer_child(node, x)
         split = node.size >= 2 and (self.max_depth is None or node.depth < self.max_depth)
         if split:
@@ -303,13 +315,14 @@ class AdaptiveClusterTree:
             alert = self.test_local_change(node)
             if alert is not None:
                 alerts.append(alert)
-        for parent in reversed(parents):
+        for parent in path[-2::-1]:
             node.age = parent.age
             if parent.age - min(parent.left.age, parent.right.age) >= self.max_age:
                 alert = self.prune(parent)
                 if alert is not None:
                     alerts.append(alert)
             node = parent
+        return path
 
     def split_leaf(self, node: ClusterNode) -> list[DriftAlert]:
         """Split a leaf in two and replay its window into the children.
@@ -335,7 +348,7 @@ class AdaptiveClusterTree:
         node.left, node.right = left, right
         at = self.nodes.index(node) + 1
         self.nodes[at:at] = [left, right]
-        self._routing = self._leaves = None
+        self._reshaped()
         alerts: list[DriftAlert] = []
         for k in range(len(xs)):
             child = self._nearer_child(node, xs[k])
@@ -355,7 +368,7 @@ class AdaptiveClusterTree:
         while end < len(self.nodes) and self.nodes[end].depth > node.depth:
             end += 1
         del self.nodes[start:end]
-        self._routing = self._leaves = None
+        self._reshaped()
         node.left = node.right = node.pair = None
         return self.test_local_change(node, kind=KIND_PRUNE_RETEST)
 

@@ -262,6 +262,54 @@ class TestAttributionTracker:
         assert any(now - before for before, now in steps)  # splits
         assert any(before - now for before, now in steps)  # prunes
 
+    @pytest.mark.parametrize(
+        "m, max_depth", [(1, None), (2, None), (9, None), (2, 0)], ids=["m1", "m2", "m9", "root-only"]
+    )
+    def test_skipped_repeated_and_interleaved_calls_match_a_fresh_walk(self, m, max_depth):
+        # step skipped for several writes, called twice with no write between, and track called between
+        # a write and the next step, each checked against the same independent walk as above
+        tree = AdaptiveClusterTree(m, DetectorConfig(window=8, max_depth=max_depth))
+        tracker = AttributionTracker(tree)
+        rng = np.random.default_rng(60 + m)
+
+        def walk(x):
+            node = tree.root
+            while not node.is_leaf:
+                dl = x - node.left.centroid
+                dr = x - node.right.centroid
+                node = node.left if float(dl @ dl) <= float(dr @ dr) else node.right
+            return node.node_id
+
+        walked, reasons, calls = [], [], {"skip": 0, "twice": 0, "between": 0}
+        for t in range(1500):
+            corner = (t // 250) % 4
+            x = rng.uniform(0, 0.6, m) + 0.4 * np.array([corner % 2, corner // 2] + [0] * m)[:m]
+            reshapes = tree.reshapes
+            alerts = tree.update(x, rng.normal(3.0 if (t // 100) % 3 == 0 else 0.0, 0.5), t)
+            if t % 50 == 0 or (tree.reshapes != reshapes and t % 3 == 0):  # some rows arrive on a split or prune
+                calls["between"] += tracker.history != []
+                tracker.track(x, _vec(t, n_features=m))
+                walked.append(walk(x))
+            action = rng.random()
+            calls["skip"] += action < 0.15
+            calls["twice"] += action > 0.9
+            for _ in range(0 if action < 0.15 else 2 if action > 0.9 else 1):
+                stale = tracker.step(alerts)
+                leaves = [walk(row) for row in tracker.xs]
+                alerted = {a.node_id for a in alerts if a.scope == SCOPE_LOCAL}
+                assert stale == [
+                    (row, REASON_LEAF_CHANGE if leaf != walked[row] else REASON_LOCAL_ALERT)
+                    for row, leaf in enumerate(leaves)
+                    if leaf != walked[row] or leaf in alerted
+                ]
+                assert tracker.leaf_ids.tolist() == leaves
+                walked = leaves
+                reasons.extend(reason for _, reason in stale)
+        assert min(calls.values()) > 20
+        assert REASON_LOCAL_ALERT in reasons
+        assert (REASON_LEAF_CHANGE in reasons) == (max_depth is None)
+        assert (tree.node_count == 1) == (max_depth == 0)
+
     def test_recompute_count_matches_log(self):
         tracker, tree = _tracker(window=4)
         rng = np.random.default_rng(3)

@@ -409,6 +409,16 @@ class TestInjectDrift:
         assert meta["positions"] == [400]
         assert "widths" not in meta  # injection is always abrupt
 
+    def test_negative_position_is_named(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert _run(["generate", "--kind", "sea", "--length", "300", "--out", str(gen)], capsys)[0] == 0
+        code, _, err = _run(
+            ["inject-drift", "--input", str(gen / "stream.csv"), "--positions", "-5", "--out", str(tmp_path / "inj")],
+            capsys,
+        )
+        assert code == 2
+        assert "inject-drift: error: injection position -5 must be at least 1" in err
+
     def test_requires_input(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["inject-drift", "--positions", "10", "--out", str(tmp_path / "x")])

@@ -171,6 +171,11 @@ class TestPermuteInject:
         with pytest.raises(ValueError, match="strictly increasing"):
             permute_inject(self._stream(), (900, 500))
 
+    @pytest.mark.parametrize("position", [0, -5])
+    def test_rejects_position_before_row_one(self, position):
+        with pytest.raises(ValueError, match=f"injection position {position} must be at least 1"):
+            permute_inject(self._stream(), (position, 900))
+
     def test_rejects_empty_positions(self):
         with pytest.raises(ValueError, match="at least one"):
             permute_inject(self._stream(), ())

@@ -94,6 +94,19 @@ class TestBufferedStream:
         b = [(it.t, it.y, it.x.tolist()) for it in stream]
         assert a == b
 
+    @pytest.mark.parametrize(
+        "labels, row",
+        [(np.array([1.5, 0.5, 1.0]), 0), (np.array([1.0, 0.0, 1.0]), 0), (np.array([0, 1, -1], dtype=np.int64), 2)],
+        ids=["fractional", "whole-floats", "negative"],
+    )
+    def test_rejects_labels_that_are_not_class_ids_naming_the_row(self, labels, row):
+        with pytest.raises(ValueError, match=f"row {row}: label .* is not a class id"):
+            BufferedStream(features=np.ones((3, 2)), labels=labels)
+
+    def test_accepts_unsigned_labels(self):
+        stream = BufferedStream(features=np.ones((3, 2)), labels=np.array([0, 2, 1], dtype=np.uint8))
+        assert stream.n_classes == 3
+
     def test_buffer_stream_round_trip(self):
         base = BufferedStream(
             features=np.ones((3, 2)), labels=np.array([0, 1, 0], dtype=np.int64), drift_positions=(2,)

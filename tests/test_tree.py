@@ -24,14 +24,19 @@ def _tree(m=1, gamma=0.95, alpha=0.01, window=8, max_age=1000, max_depth=5):
     return AdaptiveClusterTree(m, config)
 
 
-def _descend(tree, x):
-    """Reference walk: at each node the nearer child by 1-D dot products, ties left."""
-    node = tree.root
-    while not node.is_leaf:
+def _descent(tree, x):
+    """Reference walk, root to leaf: at each node the nearer child by 1-D dot products, ties left."""
+    path = [tree.root]
+    while not path[-1].is_leaf:
+        node = path[-1]
         dl = x - node.left.centroid
         dr = x - node.right.centroid
-        node = node.left if float(dl @ dl) <= float(dr @ dr) else node.right
-    return node
+        path.append(node.left if float(dl @ dl) <= float(dr @ dr) else node.right)
+    return path
+
+
+def _descend(tree, x):
+    return _descent(tree, x)[-1]
 
 
 def _leaves(tree, xs):
@@ -262,6 +267,39 @@ class TestFindLeaf:
             assert tree.node_count > 15
 
 
+class TestWritePath:
+    @pytest.mark.parametrize("m", [1, 2, 9])
+    def test_path_is_the_descent_and_holds_every_moved_centroid(self, m):
+        rng = np.random.default_rng(40 + m)
+        tree = _tree(m=m, window=8, max_age=60, max_depth=None)
+        plain = 0
+        for t in range(1500):
+            x = rng.uniform(0, 0.6, m) + 0.4 * ((t // 200) % 2)  # traffic alternates, so branches starve
+            descent = _descent(tree, x) if tree.root is not None else None
+            before = {node: node.centroid.copy() for node in tree.nodes}
+            writes, reshapes = tree.writes, tree.reshapes
+            tree.update(x, 0.0, t)
+            assert tree.writes == writes + 1
+            if tree.reshapes != reshapes:
+                continue
+            plain += 1
+            assert tree.path == descent  # the nearer child at each level, root to leaf
+            assert tree.path[-1].is_leaf
+            moved = {node for node in tree.nodes if (node.centroid != before[node]).any()}
+            assert moved <= set(tree.path)
+        assert 1000 < plain < 1500
+
+    def test_root_creation_split_and_prune_are_structure_changes(self):
+        tree = _tree(window=8, max_age=10)
+        tree.update(np.array([0.0]), 0.0, 0)
+        assert (tree.writes, tree.reshapes, tree.path) == (1, 1, [tree.root])
+        tree.update(np.array([1.0]), 0.0, 1)  # a far point: the root splits
+        assert tree.writes == 2 and tree.reshapes > 1 and not tree.root.is_leaf
+        reshapes = tree.reshapes
+        tree.prune(tree.root)
+        assert (tree.writes, tree.reshapes) == (2, reshapes + 1)
+
+
 class TestLocalChange:
     def test_constant_diffs_never_alert(self):
         tree = _tree(window=8, max_depth=0)
@@ -324,6 +362,15 @@ class TestPrune:
         assert 1 in counts, "stale branch should be pruned within max_age updates"
         first_prune = counts.index(1)
         assert first_prune <= 10
+
+    def test_prune_inside_a_write_is_a_structure_change(self):
+        tree = self._grow_two_cluster_tree(max_age=10)
+        reshapes = tree.reshapes
+        for k in range(12):
+            tree.update(np.array([0.2]), 0.0, 40 + k)
+            if tree.node_count == 1:
+                break
+        assert tree.node_count == 1 and tree.reshapes == reshapes + 1
 
     def test_default_max_age_prunes_starved_branch_after_max_age_updates(self):
         # The cost side of a large default: an obsolete branch lives for max_age parent updates.
