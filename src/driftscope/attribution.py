@@ -11,9 +11,12 @@ The tracker keeps attributions for a set of pinned feature vectors and
 flags one as stale only when the cluster tree reassigns its vector to a
 different leaf or raises a local change alert at its leaf. It keeps one
 row per pinned vector, in pin order, with its squared distances to the
-node centroids. After a write that kept the tree's structure, only the
-nodes on the write's path moved: it recomputes their distances, re-decides
-their parents, and walks down again only the rows whose decision flipped.
+node centroids, and routes a row by walking down over those distances.
+After a write that kept the tree's structure, only the nodes on the
+write's path moved: it recomputes their distances, re-decides their
+parents, and walks down again only the rows whose decision flipped.
+After a split, a prune or a missed write it recomputes every distance
+and walks every row.
 The caller recomputes the flagged rows with whatever explainer it uses;
 the rest is reused as-is.
 """
@@ -93,7 +96,9 @@ class AttributionTracker:
 
     def track(self, x: np.ndarray, vec: AttributionVector) -> int:
         tree = self.tree
-        self.leaf_ids = np.append(self.leaf_ids, tree.find_leaf(x).node_id)
+        if np.shape(vec.phi) != (tree.n_features,):
+            raise ValueError(f"expected phi of shape ({tree.n_features},), got {np.shape(vec.phi)}")
+        self.leaf_ids = np.append(self.leaf_ids, tree.find_leaf(x).node_id)  # find_leaf checks x first
         self.xs = np.vstack((self.xs, x))
         self.phis = np.vstack((self.phis, vec.phi))
         self.history.append([(REASON_INITIAL, vec)])
@@ -111,7 +116,9 @@ class AttributionTracker:
 
     def step(self, alerts: list[DriftAlert]) -> list[tuple[int, str]]:
         """(row, reason) for each row gone stale, in row order."""
-        tree, at, leaf_ids = self.tree, self._at, self.leaf_ids
+        tree, at, rows = self.tree, self._at, []
+        if not tree.nodes:
+            raise ValueError("tree is empty; update it with an observation first")
         seen, self._seen = self._seen, (tree.writes, tree.reshapes)
         moved = tree.path[1:]  # no decision reads the root's distance, so it is left stale
         if moved and seen == (tree.writes - 1, tree.reshapes):  # one write, structure kept: only its path moved
@@ -119,17 +126,18 @@ class AttributionTracker:
             before = self._d2[kids]
             self._d2[[at[node] for node in moved]] = distances(np.array([node.centroid for node in moved]), self.xs)
             after = self._d2[kids]
+            # only a flipped decision can move a row: walk those down again
             rows = ((before[::2] <= before[1::2]) != (after[::2] <= after[1::2])).any(axis=0).nonzero()[0].tolist()
-            leaf_ids = leaf_ids.copy()
-            for row in rows:  # only a flipped decision can move a row: walk those down again
-                node, d2 = tree.nodes[0], self._d2[:, row].tolist()
-                while node.left is not None:
-                    node = node.left if d2[at[node.left]] <= d2[at[node.right]] else node.right
-                leaf_ids[row] = node.node_id
-        elif seen != self._seen:  # missed writes or a new structure: recompute every distance
+        elif seen != self._seen:  # missed writes or a new structure: recompute every distance, walk every row
             self._d2 = distances(np.array([node.centroid for node in tree.nodes]), self.xs)
-            self._at = {node: j for j, node in enumerate(tree.nodes)}
-            leaf_ids = np.array([node.node_id for node in tree.nodes])[tree.leaf_positions(self._d2.T)]
+            at = self._at = {node: j for j, node in enumerate(tree.nodes)}
+            rows = range(len(self.leaf_ids))
+        leaf_ids = self.leaf_ids.copy()
+        for row in rows:
+            node, d2 = tree.nodes[0], self._d2[:, row].tolist()
+            while node.left is not None:
+                node = node.left if d2[at[node.left]] <= d2[at[node.right]] else node.right
+            leaf_ids[row] = node.node_id
         changed, self.leaf_ids = leaf_ids != self.leaf_ids, leaf_ids
         alerted = [a.node_id for a in alerts if a.scope == SCOPE_LOCAL]
         stale = changed | np.isin(leaf_ids, alerted) if alerted else changed

@@ -10,11 +10,9 @@ age rule. Drift is tested locally per leaf (older window half vs newer
 half) and globally by combining the leaf-level p-values with Fisher's
 method. The nodes live in one preorder list. A write walks down a level
 at a time, each one subtraction and one ``vecdot`` against the node's
-``pair`` (its children's centroids as rows). Reads route a batch from
-its squared distances to all centroids in one pass with no loop over
-levels (``leaf_positions``), so a caller may keep distances, and refresh
-only those to the nodes a write appended to when the structure stayed.
-Reads and writes reject a non-finite vector.
+``pair`` (its children's centroids as rows); a read (``find_leaf``)
+walks down the same way without appending. Reads and writes reject a
+non-finite vector.
 """
 
 from __future__ import annotations
@@ -185,8 +183,7 @@ class AdaptiveClusterTree:
         self.nodes: list[ClusterNode] = []
         self.path: list[ClusterNode] = []
         self.writes = self.reshapes = 0
-        # dropped when the structure changes: leaf_positions' tables and the preorder leaf list
-        self._routing: tuple | None = None
+        # the preorder leaf list, dropped when the structure changes
         self._leaves: list[ClusterNode] | None = None
         self.local_tests_run = 0
         self.local_alerts_raised = 0
@@ -221,7 +218,7 @@ class AdaptiveClusterTree:
         return (self.node_count + 1) // 2
 
     def _reshaped(self) -> None:
-        self._routing = self._leaves = None
+        self._leaves = None
         self.reshapes += 1
 
     def _feature_vector(self, x) -> np.ndarray:
@@ -233,36 +230,14 @@ class AdaptiveClusterTree:
         return x
 
     def find_leaf(self, x: np.ndarray) -> ClusterNode:
-        """Descend to the leaf whose centroid is most similar to x (ties go left)."""
+        """Descend to the leaf whose centroid is most similar to x (ties go left), as a write walks."""
         x = self._feature_vector(x)
         if not self.nodes:
             raise ValueError("tree is empty; update it with an observation first")
-        d2 = distances(x[None, :], np.array([node.centroid for node in self.nodes]))
-        return self.nodes[self.leaf_positions(d2)[0]]
-
-    def leaf_positions(self, d2: np.ndarray) -> np.ndarray:
-        """The ``nodes`` position of the leaf each row reaches, from its K x N ``distances``.
-
-        Each internal node's decision (nearer child, ties left) is +1 or -1; a leaf scores them times
-        its side of each ancestor. The leaf a row reaches scores its depth, any other at least 2 less.
-        """
-        if self._routing is None:
-            # From the back of the preorder list (a left child follows its parent, a right child its
-            # sibling's subtree), one pass lists leaves back to front: leaf q is at or after p iff q < after[p].
-            size, after, inner, leaves = [1] * len(self.nodes), [0] * (len(self.nodes) + 1), [], []
-            for i in range(len(self.nodes) - 1, -1, -1):
-                if self.nodes[i].left is None:
-                    leaves.append(i)
-                else:
-                    right = i + 1 + size[i + 1]
-                    size[i] = 1 + size[i + 1] + size[right]
-                    inner += (i + 1, right, after[i + 1], after[right], after[i + size[i]])
-                after[i] = len(leaves)
-            rows = np.array(inner, dtype=np.intp).reshape(-1, 5)
-            side = np.array([1.0, -2.0, 1.0]) @ (np.arange(len(leaves)) < rows[:, 2:, None])
-            self._routing = rows[:, 0], rows[:, 1], side, np.abs(side).sum(axis=0), np.array(leaves)
-        left, right, side, depth, leaves = self._routing
-        return leaves[(np.where(d2[:, left] <= d2[:, right], 1.0, -1.0) @ side - depth).argmax(axis=1)]
+        node = self.nodes[0]
+        while node.left is not None:
+            node = self._nearer_child(node, x)
+        return node
 
     @staticmethod
     def _nearer_child(node: ClusterNode, x: np.ndarray) -> ClusterNode:

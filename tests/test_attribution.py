@@ -328,6 +328,27 @@ class TestAttributionTracker:
         # the stored phi the oracle compares against is the last vector stored
         assert tracker.phis[row].tolist() == events[-1][1].phi.tolist()
 
+    def test_rejected_track_changes_no_row(self):
+        tracker, tree = _tracker(n_features=2)
+        tree.update(np.array([0.5, 0.5]), 0.0, 0)
+        tracker.track(np.array([0.5, 0.5]), _vec(0, n_features=2))
+        for x, vec in ((np.array([0.1, 0.9]), _vec(1)), (np.array([0.1]), _vec(1, n_features=2))):
+            with pytest.raises(ValueError):
+                tracker.track(x, vec)
+        # leaf ids, vectors, phis and histories stay one row each, so a later step names only storable rows
+        assert len(tracker.leaf_ids) == len(tracker.xs) == len(tracker.phis) == len(tracker.history) == 1
+        tree.update(np.array([0.1, 0.9]), 0.0, 1)
+        assert all(row == 0 for row, _ in tracker.step([]))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_step_on_empty_tree_rejected(self, m):
+        tracker, tree = _tracker(n_features=m)
+        with pytest.raises(ValueError) as read:
+            tree.find_leaf(np.zeros(m))
+        with pytest.raises(ValueError) as step:
+            tracker.step([])
+        assert str(step.value) == str(read.value) == "tree is empty; update it with an observation first"
+
 
 def _tracker_with_history(phis, times):
     """A one-row tracker whose row stored ``phis`` at ``times``, initial one first."""

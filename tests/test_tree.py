@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from driftscope import tree as tree_module
+from driftscope.attribution import AttributionTracker, AttributionVector
 from driftscope.config import DetectorConfig
 from driftscope.numerics import fisher_combine
 from driftscope.tree import (
@@ -15,7 +16,6 @@ from driftscope.tree import (
     SCOPE_LOCAL,
     AdaptiveClusterTree,
     _farthest_pair,
-    distances,
 )
 
 
@@ -39,10 +39,19 @@ def _descend(tree, x):
     return _descent(tree, x)[-1]
 
 
+def _tracked_leaves(tree, tracker):
+    by_id = {node.node_id: node for node in tree.nodes}
+    return [by_id[i] for i in tracker.leaf_ids.tolist()]
+
+
 def _leaves(tree, xs):
-    """Batched read, as the attribution tracker routes: each row's leaf from its distances to every centroid."""
-    d2 = distances(np.asarray(xs, dtype=float), np.array([node.centroid for node in tree.nodes]))
-    return [tree.nodes[i] for i in tree.leaf_positions(d2).tolist()]
+    """Batched read, as the attribution tracker routes after a reshape: a fresh tracker pins the rows, and
+    its first step recomputes every row's distances to every centroid and walks each row down over them."""
+    tracker = AttributionTracker(tree)
+    for x in xs:
+        tracker.track(np.asarray(x, dtype=float), AttributionVector(np.zeros(tree.n_features), 0.0, 0))
+    tracker.step([])
+    return _tracked_leaves(tree, tracker)
 
 
 def _preorder(node):
@@ -251,6 +260,7 @@ class TestFindLeaf:
         rng = np.random.default_rng(12)
         for m in (2, 9):  # 9 features as in Agrawal, where row dot products have more terms to round
             tree = _tree(m=m, window=8)
+            tracker = AttributionTracker(tree)
             xs = rng.uniform(0, 1, size=(300, m))
             for t, x in enumerate(xs):
                 target = tree.find_leaf(x) if tree.root is not None else None
@@ -259,9 +269,11 @@ class TestFindLeaf:
                 if target is not None and target.is_leaf:
                     # the write path's walk must have landed x in the predicted leaf
                     assert target.newest_t == t
-                # every row seen so far lands in one batch where it lands alone,
-                # and where the write path's per-node choice sends it
-                batch = _leaves(tree, xs[: t + 1])
+                # pinning a row after the write makes the step recompute and walk every row: each row
+                # seen so far lands in one batch where it lands alone, and where the write path sends it
+                tracker.track(x, AttributionVector(np.zeros(m), 0.0, t))
+                tracker.step([])
+                batch = _tracked_leaves(tree, tracker)
                 assert batch == [tree.find_leaf(row) for row in xs[: t + 1]]
                 assert batch == [_descend(tree, row) for row in xs[: t + 1]]
             assert tree.node_count > 15
