@@ -8,7 +8,6 @@ from .attribution import (
 from .baseline import EwmaBaseline
 from .config import DetectorConfig
 from .evaluation import (
-    BenchmarkRow,
     DdmDetector,
     compute_recall_fdr,
     run_benchmark,
@@ -28,7 +27,6 @@ __all__ = [
     "AgrawalStream",
     "AttributionTracker",
     "AttributionVector",
-    "BenchmarkRow",
     "BufferedStream",
     "DdmDetector",
     "DetectorConfig",

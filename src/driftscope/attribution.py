@@ -94,10 +94,13 @@ class AttributionTracker:
         self._seen: tuple[int, int] | None = None
         self._d2, self._at = np.empty((0, 0)), {}
 
+    def _check_phi(self, vec: AttributionVector) -> None:
+        if np.shape(vec.phi) != (self.tree.n_features,):
+            raise ValueError(f"expected phi of shape ({self.tree.n_features},), got {np.shape(vec.phi)}")
+
     def track(self, x: np.ndarray, vec: AttributionVector) -> int:
         tree = self.tree
-        if np.shape(vec.phi) != (tree.n_features,):
-            raise ValueError(f"expected phi of shape ({tree.n_features},), got {np.shape(vec.phi)}")
+        self._check_phi(vec)
         self.leaf_ids = np.append(self.leaf_ids, tree.find_leaf(x).node_id)  # find_leaf checks x first
         self.xs = np.vstack((self.xs, x))
         self.phis = np.vstack((self.phis, vec.phi))
@@ -111,6 +114,7 @@ class AttributionTracker:
 
     def refresh(self, row: int, vec: AttributionVector, reason: str) -> None:
         """Store ``vec``, computed at step ``vec.t`` for ``reason``, as the row's phi."""
+        self._check_phi(vec)
         self.phis[row] = vec.phi
         self.history[row].append((reason, vec))
 

@@ -273,20 +273,17 @@ def cmd_bench(args) -> int:
     cfg = _merged_config(args)
     streams = {str(path): _read_stream(path, cfg, require_sidecar=True) for path in args.stream}
     detectors = _build_detectors(args.detectors, cfg)
-    rows = run_benchmark(
+    report = run_benchmark(
         streams,
         detectors,
         intervals=tuple(cfg["interval_fractions"]),
         warmup=cfg["warmup"],
     )
     out = _out_dir(args)
-    report = []
     timings = {}
-    for row in rows:
-        d = row.to_dict()
+    for d in report:
         timings[f"{d['stream']}/{d['detector']}"] = d.pop("mean_update_seconds")
         d["delays"] = json.dumps(d["delays"])
-        report.append(d)
     header = list(report[0].keys())
     _write_csv(out / "report.csv", header, ([d[k] for k in header] for d in report))
     _write_json(out / "report.json", report)

@@ -11,7 +11,6 @@ are aggregated across a set of interval sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -127,25 +126,6 @@ class DdmDetector:
 DetectorRunner = Callable[[StreamSource], tuple[list[int], float]]
 
 
-@dataclass(frozen=True)
-class BenchmarkRow:
-    """Scores for one detector on one stream, aggregated over intervals."""
-
-    stream: str
-    detector: str
-    recall_mean: float
-    recall_std: float
-    fdr_mean: float
-    fdr_std: float
-    combined_mean: float
-    combined_std: float
-    delays: tuple[int | None, ...]
-    mean_update_seconds: float
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "delays": list(self.delays)}
-
-
 def score_alerts(
     stream: StreamSource,
     alerts: Sequence[int],
@@ -177,8 +157,12 @@ def run_benchmark(
     detectors: Mapping[str, DetectorRunner],
     intervals: Sequence[float] = DEFAULT_INTERVALS,
     warmup: int = DEFAULT_WARMUP,
-) -> list[BenchmarkRow]:
-    """Score every detector on every stream with a ground-truth schedule."""
+) -> list[dict]:
+    """Score every detector on every stream with a ground-truth schedule.
+
+    One dict per (stream, detector): ``stream``, ``detector``, the
+    ``score_alerts`` keys, then ``mean_update_seconds``.
+    """
     if not intervals:
         raise ValueError("need at least one detection interval")
     rows = []
@@ -189,13 +173,10 @@ def run_benchmark(
             )
         for detector_name, runner in detectors.items():
             alerts, mean_update_seconds = runner(stream)
-            scores = score_alerts(stream, alerts, intervals, warmup)
-            rows.append(
-                BenchmarkRow(
-                    stream=stream_name,
-                    detector=detector_name,
-                    mean_update_seconds=mean_update_seconds,
-                    **scores,
-                )
-            )
+            rows.append({
+                "stream": stream_name,
+                "detector": detector_name,
+                **score_alerts(stream, alerts, intervals, warmup),
+                "mean_update_seconds": mean_update_seconds,
+            })
     return rows

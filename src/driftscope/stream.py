@@ -77,6 +77,9 @@ class BufferedStream(StreamSource):
         self.length = int(self.features.shape[0])
         self.n_features = int(self.features.shape[1])
         self.n_classes = int(self.labels.max()) + 1 if self.length else 0
+        for what, given in (("feature_names", self.feature_names), ("feature_ranges", self.feature_ranges)):
+            if given and len(given) != self.n_features:
+                raise ValueError(f"{len(given)} {what} given for {self.n_features} features")
         if not self.feature_names:
             self.feature_names = tuple(f"f{i}" for i in range(self.n_features))
 

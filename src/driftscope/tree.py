@@ -1,8 +1,8 @@
 """Adaptive binary cluster tree for localizing concept drift.
 
 The tree incrementally partitions the input space. Every node keeps a
-bounded FIFO window of (x, diff, t) triples, where diff is the gap
-between the model's prediction and its baseline prediction. Leaves whose
+bounded FIFO window of (x, diff) pairs, where diff is the gap between
+the model's prediction and its baseline prediction. Leaves whose
 windows grow incoherent under an RBF similarity threshold split in two,
 seeded by their window's two most distant rows (an exact scan of the
 pairs, one row at a time); branches starved of traffic are pruned by an
@@ -18,6 +18,7 @@ non-finite vector.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ def distances(xs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriftAlert:
-    """A single detected change, local to one leaf or global."""
+    """A single detected change, local to one leaf or global; ``t`` is the step of the write that raised it."""
 
     t: int
     scope: str
@@ -85,7 +86,6 @@ class ClusterNode:
         "_w",
         "_xs",
         "_diffs",
-        "_ts",
         "_start",
         "size",
         "_sum",
@@ -104,7 +104,6 @@ class ClusterNode:
         self._w = window
         self._xs = np.empty((window, n_features), dtype=float)
         self._diffs = np.empty(window, dtype=float)
-        self._ts = np.empty(window, dtype=np.int64)
         self._start = 0
         self.size = 0
         self._sum = np.zeros(n_features, dtype=float)
@@ -116,14 +115,8 @@ class ClusterNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    @property
-    def newest_t(self) -> int:
-        if self.size == 0:
-            raise ValueError("node window is empty")
-        return int(self._ts[(self._start + self.size - 1) % self._w])
-
-    def append(self, x: np.ndarray, diff: float, t: int) -> None:
-        """Push a triple, evicting the oldest when the window is full."""
+    def append(self, x: np.ndarray, diff: float) -> None:
+        """Push a pair, evicting the oldest when the window is full."""
         if self.size < self._w:
             idx = (self._start + self.size) % self._w
             self.size += 1
@@ -134,7 +127,6 @@ class ClusterNode:
             self._start = (self._start + 1) % self._w
         self._xs[idx] = x
         self._diffs[idx] = diff
-        self._ts[idx] = t
         self.test_len = min(self.test_len + 1, self._w)
         self._appends += 1
         if self._appends % _EXACT_SUM_EVERY == 0:
@@ -149,9 +141,9 @@ class ClusterNode:
         # the oldest entry sits at _start, which moves off 0 only once the window is full
         return np.concatenate((column[self._start : self.size], column[: self._start]))
 
-    def entries_in_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Window triples as (X, diffs, ts) arrays in arrival order."""
-        return self._in_order(self._xs), self._in_order(self._diffs), self._in_order(self._ts)
+    def entries_in_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Window pairs as (X, diffs) arrays in arrival order."""
+        return self._in_order(self._xs), self._in_order(self._diffs)
 
     def diffs_in_order(self) -> np.ndarray:
         """Window diffs in arrival order."""
@@ -250,10 +242,14 @@ class AdaptiveClusterTree:
     # ------------------------------------------------------------------
 
     def update(self, x: np.ndarray, diff: float, t: int) -> list[DriftAlert]:
-        """Route one observation through the tree; returns alerts raised."""
+        """Route one observation through the tree at integer step ``t``; returns the alerts it raised."""
         x = self._feature_vector(x)
         if not math.isfinite(diff):
             raise ValueError("update requires a finite diff")
+        try:
+            t = operator.index(t)
+        except TypeError:
+            raise ValueError(f"time step must be an integer, got {t!r}") from None
         if self._last_t is not None and t <= self._last_t:
             raise ValueError(f"time steps must be strictly increasing, got {t} after {self._last_t}")
         if not self.nodes:
@@ -261,11 +257,11 @@ class AdaptiveClusterTree:
             self._reshaped()
         alerts: list[DriftAlert] = []
         self.writes += 1
-        self.path = self._update_node(self.nodes[0], x, diff, t, alerts)
         self._last_t = t
+        self.path = self._update_node(self.nodes[0], x, diff, alerts)
         return alerts
 
-    def _update_node(self, node: ClusterNode, x: np.ndarray, diff: float, t: int, alerts: list[DriftAlert]) -> list:
+    def _update_node(self, node: ClusterNode, x: np.ndarray, diff: float, alerts: list[DriftAlert]) -> list:
         """Walk x down from ``node`` to a leaf, aging and appending at each node, by nearer children.
 
         The leaf splits or runs its local test; then, bottom up, each child on the path takes its
@@ -275,7 +271,7 @@ class AdaptiveClusterTree:
         path = []
         while True:
             node.age += 1
-            node.append(x, diff, t)
+            node.append(x, diff)
             path.append(node)
             if node.left is None:
                 break
@@ -304,7 +300,7 @@ class AdaptiveClusterTree:
 
         The two most distant window observations (first such pair i < j in
         arrival order on ties), found by an exact scan of every pair's
-        squared difference, seed the child centroids. Each window triple
+        squared difference, seed the child centroids. Each window pair
         then runs through the nearer child's own update path, so child
         centroids track their window means and a child may itself split.
         Both children inherit the parent's age and enter ``nodes`` right
@@ -313,7 +309,7 @@ class AdaptiveClusterTree:
         """
         if not node.is_leaf:
             raise ValueError("split_leaf requires a leaf")
-        xs, diffs, ts = node.entries_in_order()
+        xs, diffs = node.entries_in_order()
         if len(xs) < 2:
             raise ValueError("cannot split a window with fewer than 2 observations")
         i, j = _farthest_pair(xs)
@@ -327,7 +323,7 @@ class AdaptiveClusterTree:
         alerts: list[DriftAlert] = []
         for k in range(len(xs)):
             child = self._nearer_child(node, xs[k])
-            self._update_node(child, xs[k], float(diffs[k]), int(ts[k]), alerts)
+            self._update_node(child, xs[k], float(diffs[k]), alerts)
             child.age = node.age
         return alerts
 
@@ -354,9 +350,10 @@ class AdaptiveClusterTree:
     def test_local_change(self, node: ClusterNode, kind: str = KIND_CHANGE_TEST) -> DriftAlert | None:
         """Two-sample test of the node's older diff half against its newer half.
 
-        Runs only when the testable diff window is full. On an alert the
-        diff history is cleared (the observations stay for clustering),
-        so a single change cannot re-alert on overlapping windows.
+        Runs only when the testable diff window is full, so only on a node
+        whose newest row is the current write's. On an alert the diff
+        history is cleared (the observations stay for clustering), so a
+        single change cannot re-alert on overlapping windows.
         """
         if node.test_len < self.window:
             return None
@@ -369,7 +366,7 @@ class AdaptiveClusterTree:
             self.local_alerts_raised += 1
             node.test_len = 0
             return DriftAlert(
-                t=node.newest_t,
+                t=self._last_t,
                 scope=SCOPE_LOCAL,
                 p_value=result.p_value,
                 kind=kind,

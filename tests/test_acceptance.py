@@ -35,6 +35,10 @@ def _line(criterion: int, ok: bool, detail: str) -> None:
     print(f"[C{criterion:02d}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
+def _holds_newest(node, x) -> bool:
+    return node.size > 0 and np.array_equal(node.entries_in_order()[0][-1], x)
+
+
 def _sea_abrupt(length=50000, positions=(12500, 25000, 37500), seed=1):
     schedule = DriftSchedule(positions=positions)
     return buffer_stream(
@@ -225,8 +229,9 @@ class TestAcceptance:
                 node = tree.root
                 reached = True
                 while not node.is_leaf:
-                    nxt = node.left if node.left.size and node.left.newest_t == t else node.right
-                    if not (nxt.size and nxt.newest_t == t):
+                    # the write landed where x is the newest stored row (the fuzzed rows are distinct)
+                    nxt = node.left if _holds_newest(node.left, x) else node.right
+                    if not _holds_newest(nxt, x):
                         reached = False
                         break
                     node = nxt
@@ -312,7 +317,7 @@ class TestAcceptance:
         rows = run_benchmark(streams, {"cdleeds": cdleeds_runner(), "ddm": ddm_runner()})
         by_detector = {}
         for row in rows:
-            by_detector.setdefault(row.detector, []).append(row.combined_mean)
+            by_detector.setdefault(row["detector"], []).append(row["combined_mean"])
         cdleeds_mean = float(np.mean(by_detector["cdleeds"]))
         ddm_mean = float(np.mean(by_detector["ddm"]))
         elapsed = time.perf_counter() - started

@@ -340,6 +340,16 @@ class TestAttributionTracker:
         tree.update(np.array([0.1, 0.9]), 0.0, 1)
         assert all(row == 0 for row, _ in tracker.step([]))
 
+    def test_rejected_refresh_changes_no_row(self):
+        tracker, tree = _tracker(n_features=2)
+        tree.update(np.array([0.5, 0.5]), 0.0, 0)
+        row = tracker.track(np.array([0.5, 0.5]), AttributionVector(np.array([1.0, 2.0]), 0.0, 0))
+        with pytest.raises(ValueError, match=r"expected phi of shape \(2,\), got \(1,\)"):
+            tracker.refresh(row, AttributionVector(np.array([5.0]), 0.0, 1), REASON_LOCAL_ALERT)
+        # the phi the oracle reads and the history attributions.csv writes still agree
+        assert tracker.phis[row].tolist() == tracker.history[row][-1][1].phi.tolist() == [1.0, 2.0]
+        assert len(tracker.history[row]) == 1
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_step_on_empty_tree_rejected(self, m):
         tracker, tree = _tracker(n_features=m)

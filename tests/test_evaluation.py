@@ -7,7 +7,6 @@ import pytest
 
 from driftscope.evaluation import (
     DEFAULT_INTERVALS,
-    BenchmarkRow,
     DDM_MIN_SAMPLES,
     DdmDetector,
     combined_score,
@@ -226,15 +225,20 @@ class TestRunBenchmark:
             },
             warmup=1000,
         )
-        by_name = {row.detector: row for row in rows}
+        assert [(row["stream"], row["detector"]) for row in rows] == [("toy", "perfect"), ("toy", "silent")]
+        assert list(rows[0]) == [
+            "stream", "detector", "recall_mean", "recall_std", "fdr_mean", "fdr_std",
+            "combined_mean", "combined_std", "delays", "mean_update_seconds",
+        ]
+        by_name = {row["detector"]: row for row in rows}
         perfect = by_name["perfect"]
-        assert (perfect.recall_mean, perfect.fdr_mean) == (1.0, 0.0)
-        assert perfect.combined_mean == 1.0
-        assert perfect.delays == (0, 0)
+        assert (perfect["recall_mean"], perfect["fdr_mean"]) == (1.0, 0.0)
+        assert perfect["combined_mean"] == 1.0
+        assert perfect["delays"] == (0, 0)
         silent = by_name["silent"]
-        assert (silent.recall_mean, silent.fdr_mean) == (0.0, 0.0)
-        assert silent.combined_mean == 0.5
-        assert silent.delays == (None, None)
+        assert (silent["recall_mean"], silent["fdr_mean"]) == (0.0, 0.0)
+        assert silent["combined_mean"] == 0.5
+        assert silent["delays"] == (None, None)
 
     def test_rejects_stream_without_schedule(self):
         stream = _stream(positions=())
@@ -254,13 +258,3 @@ class TestRunBenchmark:
         a = run_benchmark({"toy": stream}, detectors, warmup=1000)
         b = run_benchmark({"toy": stream}, detectors, warmup=1000)
         assert a == b
-
-    def test_row_roundtrips_to_dict(self):
-        row = run_benchmark(
-            {"toy": _stream()}, {"fixed": lambda stream: ([1210], 0.0)}, warmup=1000
-        )[0]
-        d = row.to_dict()
-        assert d["stream"] == "toy"
-        assert d["detector"] == "fixed"
-        assert isinstance(d["delays"], list)
-        assert isinstance(row, BenchmarkRow)

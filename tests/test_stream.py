@@ -107,6 +107,17 @@ class TestBufferedStream:
         stream = BufferedStream(features=np.ones((3, 2)), labels=np.array([0, 2, 1], dtype=np.uint8))
         assert stream.n_classes == 3
 
+    def test_rejects_feature_names_of_another_length(self):
+        with pytest.raises(ValueError, match="1 feature_names given for 3 features"):
+            BufferedStream(features=np.ones((2, 3)), labels=np.zeros(2, dtype=np.int64), feature_names=("a",))
+
+    def test_rejects_feature_ranges_of_another_length(self):
+        # one range is not broadcast over three features
+        with pytest.raises(ValueError, match="1 feature_ranges given for 3 features"):
+            BufferedStream(
+                features=np.ones((2, 3)), labels=np.zeros(2, dtype=np.int64), feature_ranges=((0.0, 10.0),)
+            )
+
     def test_buffer_stream_round_trip(self):
         base = BufferedStream(
             features=np.ones((3, 2)), labels=np.array([0, 1, 0], dtype=np.int64), drift_positions=(2,)

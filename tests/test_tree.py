@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,6 +53,11 @@ def _leaves(tree, xs):
         tracker.track(np.asarray(x, dtype=float), AttributionVector(np.zeros(tree.n_features), 0.0, 0))
     tracker.step([])
     return _tracked_leaves(tree, tracker)
+
+
+def _holds_newest(node, x):
+    """Whether x is the node's newest stored row: with distinct rows, where the latest write of x landed."""
+    return node.size > 0 and np.array_equal(node.entries_in_order()[0][-1], x)
 
 
 def _preorder(node):
@@ -115,12 +121,13 @@ class TestTreeGrowth:
         assert tree.root.size == 3
 
     def test_replay_preserves_original_time_steps(self):
+        # replayed (x, diff) pairs land in the children in their arrival order
         tree = _tree()
-        _feed(tree, [0.0, 0.1, 1.0])
-        _, _, ts_left = tree.root.left.entries_in_order()
-        _, _, ts_right = tree.root.right.entries_in_order()
-        assert ts_left.tolist() == [0, 1]
-        assert ts_right.tolist() == [2]
+        _feed(tree, [0.0, 0.1, 1.0], diffs=[0.5, 0.6, 0.7])
+        left = [arr.tolist() for arr in tree.root.left.entries_in_order()]
+        right = [arr.tolist() for arr in tree.root.right.entries_in_order()]
+        assert left == [[[0.0], [0.1]], [0.5, 0.6]]
+        assert right == [[[1.0]], [0.7]]
 
     def test_max_depth_zero_never_splits(self):
         tree = _tree(max_depth=0)
@@ -144,11 +151,11 @@ class TestTreeGrowth:
 
     def test_window_evicts_oldest_when_full(self):
         tree = _tree(window=4, max_depth=0)
-        _feed(tree, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        _feed(tree, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], diffs=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         root = tree.root
         assert root.size == 4
-        xs, _, ts = root.entries_in_order()
-        assert ts.tolist() == [2, 3, 4, 5]
+        xs, diffs = root.entries_in_order()
+        assert diffs.tolist() == [3.0, 4.0, 5.0, 6.0]
         np.testing.assert_allclose(xs[:, 0], [0.3, 0.4, 0.5, 0.6])
         assert root.centroid[0] == pytest.approx(0.45)
 
@@ -157,6 +164,13 @@ class TestTreeGrowth:
         tree.update(np.array([0.5]), 0.0, 3)
         with pytest.raises(ValueError, match="strictly increasing"):
             tree.update(np.array([0.5]), 0.0, 3)
+
+    @pytest.mark.parametrize("t", [1.5, 2.0])
+    def test_update_rejects_non_integer_step(self, t):
+        tree = _tree()
+        with pytest.raises(ValueError, match=f"time step must be an integer, got {t}"):
+            tree.update(np.array([0.5]), 0.0, t)
+        assert tree.root is None and tree.writes == 0
 
     def test_update_rejects_wrong_shape(self):
         tree = _tree(m=2)
@@ -268,7 +282,7 @@ class TestFindLeaf:
                 tree.update(x, 0.0, t)
                 if target is not None and target.is_leaf:
                     # the write path's walk must have landed x in the predicted leaf
-                    assert target.newest_t == t
+                    assert _holds_newest(target, x)
                 # pinning a row after the write makes the step recompute and walk every row: each row
                 # seen so far lands in one batch where it lands alone, and where the write path sends it
                 tracker.track(x, AttributionVector(np.zeros(m), 0.0, t))
@@ -353,6 +367,46 @@ class TestLocalChange:
         tree = _tree(window=8, max_depth=0)
         _feed(tree, [0.5] * 7, diffs=[9.0, 9.0, 9.0, 0.0, 0.0, 0.0, 0.0])
         assert tree.root.last_p is None
+
+
+class TestAlertStamps:
+    def test_every_alert_carries_its_writes_step(self):
+        # short windows, no depth cap and a short max_age: replays nest, branches prune and retest
+        seen = Counter()
+        for window in (4, 6, 8):
+            rng = np.random.default_rng(window)
+            tree = _tree(m=2, window=window, max_age=20, max_depth=None)
+            split, prune, open_splits = tree.split_leaf, tree.prune, []
+
+            def counting_split(node):
+                seen["nested replays"] += bool(open_splits)
+                open_splits.append(node)
+                try:
+                    return split(node)
+                finally:
+                    open_splits.pop()
+
+            def counting_prune(node):
+                seen["prunes"] += 1
+                return prune(node)
+
+            tree.split_leaf, tree.prune = counting_split, counting_prune
+            t = 0
+            for k in range(1500):
+                t += int(rng.integers(1, 4))  # steps skip, so a stamp is not a count of writes
+                diff = float(rng.normal() + 3.0 * ((k // 50) % 2))
+                alerts = tree.update(rng.uniform(0, 1, 2), diff, t)
+                assert [a.t for a in alerts] == [t] * len(alerts)
+                seen.update(a.kind for a in alerts)
+                glob = tree.test_global_change()
+                assert glob is None or glob.t == t
+        assert min(seen[k] for k in ("nested replays", "prunes", KIND_CHANGE_TEST, KIND_PRUNE_RETEST)) > 0
+
+    def test_numpy_integer_steps_stamp_plain_ints(self):
+        tree = _tree(window=8, max_depth=0)
+        alerts = _feed(tree, [0.5] * 8, diffs=[0.0] * 4 + [5.0] * 4, t0=np.int64(0))
+        alerts.append(tree.test_global_change())
+        assert [(a.scope, a.t, type(a.t)) for a in alerts] == [(SCOPE_LOCAL, 7, int), (SCOPE_GLOBAL, 7, int)]
 
 
 class TestPrune:
@@ -592,8 +646,8 @@ class TestInvariants:
             if tree.node_count >= prev_count:
                 node = tree.root
                 while not node.is_leaf:
-                    nxt = node.left if node.left.size and node.left.newest_t == t else node.right
-                    if not (nxt.size and nxt.newest_t == t):
+                    nxt = node.left if _holds_newest(node.left, x) else node.right
+                    if not _holds_newest(nxt, x):
                         break
                     node = nxt
                 if node.is_leaf and node.depth < 4:
@@ -636,8 +690,8 @@ class TestInvariants:
             target = tree.find_leaf(x) if tree.root is not None else None
             before = None
             if target is not None:
-                xs, diffs, ts = target.entries_in_order()
-                before = [(tuple(row.tolist()), d, s) for row, d, s in zip(xs, diffs.tolist(), ts.tolist())]
+                xs, diffs = target.entries_in_order()
+                before = [(tuple(row.tolist()), d) for row, d in zip(xs, diffs.tolist())]
             diff = float(rng.normal())
             tree.update(x, diff, t)
             if target is not None and not target.is_leaf:
@@ -645,17 +699,14 @@ class TestInvariants:
                 expected = list(before)
                 if len(expected) == tree.window:
                     expected = expected[1:]  # full window evicted its oldest first
-                expected.append((tuple(x.tolist()), diff, t))
+                expected.append((tuple(x.tolist()), diff))
                 got = []
                 stack = [target]
                 while stack:
                     node = stack.pop()
                     if node.is_leaf:
-                        xs, diffs, ts = node.entries_in_order()
-                        got.extend(
-                            (tuple(row.tolist()), d, s)
-                            for row, d, s in zip(xs, diffs.tolist(), ts.tolist())
-                        )
+                        xs, diffs = node.entries_in_order()
+                        got.extend((tuple(row.tolist()), d) for row, d in zip(xs, diffs.tolist()))
                     else:
                         stack.extend([node.left, node.right])
                 assert sorted(got) == sorted(expected)
