@@ -20,7 +20,7 @@ from .evaluation import run_benchmark
 from .generators import GENERATORS, DriftSchedule, make_generator
 from .injection import MI_BINS, permute_inject
 from .pipeline import TRACKING_POLICIES, cdleeds_runner, ddm_runner, run_detection, run_tracking
-from .stream import BufferedStream, StreamSource, buffer_stream, read_csv
+from .stream import StreamSource, buffer_stream, read_csv
 
 DETECTOR_RUNNERS = {"cdleeds": cdleeds_runner, "ddm": ddm_runner}
 
@@ -65,9 +65,10 @@ def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".drifts.json")
 
 
-def _write_stream_files(out: Path, name: str, stream: BufferedStream, meta: dict) -> None:
+def _write_stream_files(out: Path, name: str, stream: StreamSource, meta: dict) -> None:
     csv_path = out / f"{name}.csv"
-    rows = ([*item.x.tolist(), int(item.y)] for item in stream)
+    features, labels = stream.arrays()
+    rows = ([*x, y] for x, y in zip(features.tolist(), labels.tolist()))
     _write_csv(csv_path, [*stream.feature_names, "label"], rows)
     sidecar = _sidecar_path(csv_path)
     _write_json(sidecar, meta)
@@ -151,7 +152,7 @@ def cmd_generate(args) -> int:
         "positions": list(source.schedule.positions),
         "widths": list(source.schedule.widths),
     }
-    _write_stream_files(out, "stream", buffer_stream(source), meta)
+    _write_stream_files(out, "stream", source, meta)
     return 0
 
 

@@ -5,17 +5,21 @@ features on [0, 10] and thresholds the sum of the first two; Agrawal
 draws nine mixed demographic features and labels them with one of the
 standard rule sets. Concepts switch abruptly or mix gradually through a
 sigmoid transition window around each scheduled drift position.
+
+Each generator builds its stream as whole arrays (``arrays()``). SEA
+draws only doubles, so one ``rng.random(n)`` call draws it all. Agrawal
+stays a row loop into preallocated arrays: its ``rng.integers`` draws
+use 32-bit halves that the bit generator buffers, so they cannot batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .stream import Observation, StreamSource
+from .stream import StreamSource, as_integer
 
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 
@@ -46,8 +50,8 @@ class DriftSchedule:
     widths: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        positions = tuple(int(p) for p in self.positions)
-        widths = tuple(int(w) for w in self.widths) if self.widths else (0,) * len(positions)
+        positions = tuple(as_integer(p, "drift position") for p in self.positions)
+        widths = tuple(as_integer(w, "drift width") for w in self.widths) if self.widths else (0,) * len(positions)
         if len(widths) != len(positions):
             raise ValueError(
                 f"schedule has {len(positions)} positions but {len(widths)} widths"
@@ -72,6 +76,21 @@ class DriftSchedule:
                 f"drift position {self.positions[-1]} is beyond the stream length {length}"
             )
 
+    def phases(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per step: how many transition windows lie wholly before it, and whether it lies inside one.
+
+        A window covers ``position - width / 2 <= t < position + width / 2``; an abrupt drift's is empty.
+        """
+        t = np.arange(length)
+        half = np.array(self.widths) / 2.0
+        before = np.searchsorted(np.array(self.positions) + half, t, side="right")
+        starts = np.append(np.array(self.positions) - half, np.inf)
+        return before, t >= starts[before]
+
+    def incoming(self, t: int, k: int) -> float:
+        """Probability that step t, inside window k, draws the concept that window brings in."""
+        return transition_probability(t, self.positions[k], self.widths[k])
+
 
 def transition_probability(t: int, position: int, width: int) -> float:
     """Probability of drawing from the incoming concept near a drift.
@@ -86,35 +105,17 @@ def transition_probability(t: int, position: int, width: int) -> float:
     return 1.0 / (1.0 + math.exp(min(z, 700.0)))
 
 
-def _concept_index(schedule: DriftSchedule, t: int, rng: np.random.Generator) -> int:
-    """Index of the active concept at step t, drawing inside transitions."""
-    idx = 0
-    for k, (pos, width) in enumerate(zip(schedule.positions, schedule.widths)):
-        lo = pos - width / 2.0
-        hi = pos + width / 2.0
-        if t < lo:
-            break
-        if t >= hi:
-            idx = k + 1
-            continue
-        # inside this transition window: mix the two adjacent concepts
-        if rng.random() < transition_probability(t, pos, width):
-            idx = k + 1
-        break
-    return idx
-
-
 def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     """One draw of ``rng.uniform(lo, hi)``, by the same arithmetic without its per-call overhead."""
     return lo + (hi - lo) * rng.random()
 
 
 class _GeneratorBase(StreamSource):
-    """Common drift sequencing and noise level for the synthetic generators.
+    """Common drift schedule and noise level for the synthetic generators.
 
     A family declares its concepts once, as ``concept_table`` (a concept
     is an index into it), and ``concept_error``, the message for an index
-    outside it.
+    outside it, and builds its stream in ``arrays``.
     """
 
     concept_table: tuple
@@ -123,6 +124,7 @@ class _GeneratorBase(StreamSource):
     def __init__(
         self, length: int, concepts=(0,), schedule: DriftSchedule | None = None, perturbation: float = 0.1, seed: int = 0
     ):
+        length = as_integer(length, "stream length")
         if length < 1:
             raise ValueError(f"stream length must be >= 1, got {length}")
         if not 0.0 <= perturbation < 1.0:
@@ -130,7 +132,7 @@ class _GeneratorBase(StreamSource):
         self.perturbation = perturbation
         self.schedule = schedule or DriftSchedule()
         self.schedule.validate_for_length(length)
-        self.concepts = tuple(int(c) for c in concepts)
+        self.concepts = tuple(as_integer(c, "concept") for c in concepts)
         if len(self.concepts) != len(self.schedule.positions) + 1:
             raise ValueError(
                 f"{len(self.schedule.positions)} drifts need "
@@ -141,14 +143,6 @@ class _GeneratorBase(StreamSource):
         self.length = length
         self.seed = seed
         self.drift_positions = self.schedule.positions
-
-    def _emit(self, t: int, rng: np.random.Generator) -> Observation:
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[Observation]:
-        rng = np.random.default_rng(self.seed)
-        for t in range(self.length):
-            yield self._emit(t, rng)
 
 
 class SeaStream(_GeneratorBase):
@@ -166,14 +160,18 @@ class SeaStream(_GeneratorBase):
     concept_table = SEA_THRESHOLDS
     concept_error = f"SEA concepts must index {SEA_THRESHOLDS}, got {{}}"
 
-    def _emit(self, t: int, rng: np.random.Generator) -> Observation:
-        concept = self.concepts[_concept_index(self.schedule, t, rng)]
-        threshold = SEA_THRESHOLDS[concept]
-        x = rng.uniform(0.0, 10.0, size=3)
-        label = 1 if x[0] + x[1] <= threshold else 0
-        if rng.random() < self.perturbation:
-            label = 1 - label
-        return Observation(t, x, label)
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        concept, inside = self.schedule.phases(self.length)
+        # A row draws its concept (inside a window only), its three features, then its label flip.
+        first = np.cumsum(4 + inside) - 4
+        u = np.random.default_rng(self.seed).random(int(first[-1]) + 4)
+        features = 0.0 + 10.0 * u[first[:, None] + np.arange(3)]  # rng.uniform(0.0, 10.0)'s arithmetic
+        rows = np.flatnonzero(inside)
+        incoming = [self.schedule.incoming(t, k) for t, k in zip(rows.tolist(), concept[rows].tolist())]
+        concept[rows] += u[first[rows] - 1] < incoming  # the windows wholly before, plus the draw
+        thresholds = np.array(SEA_THRESHOLDS)[np.array(self.concepts)[concept]]
+        labels = (features[:, 0] + features[:, 1] <= thresholds) ^ (u[first + 3] < self.perturbation)
+        return features, labels.astype(np.int64)
 
 
 # Classification rule sets 0..2 of the classic loan-approval generator.
@@ -231,32 +229,37 @@ class AgrawalStream(_GeneratorBase):
         value += self.perturbation * (hi - lo) * (2.0 * rng.random() - 1.0)
         return min(max(value, lo), hi)
 
-    def _emit(self, t: int, rng: np.random.Generator) -> Observation:
-        concept = self.concepts[_concept_index(self.schedule, t, rng)]
-        salary = _uniform(rng, 20_000.0, 150_000.0)
-        commission = 0.0 if salary >= 75_000.0 else _uniform(rng, 10_000.0, 75_000.0)
-        age = _uniform(rng, 20.0, 80.0)
-        elevel = int(rng.integers(0, 5))
-        car = int(rng.integers(1, 21))
-        zipcode = int(rng.integers(0, 9))
-        hvalue = (9.0 - zipcode) * 100_000.0 * _uniform(rng, 0.5, 1.5)
-        hyears = float(rng.integers(1, 31))
-        loan = _uniform(rng, 0.0, 500_000.0)
-        label = AGRAWAL_RULES[concept](salary, commission, age, elevel)
-        if self.perturbation > 0.0:
-            salary = self._perturb(rng, salary, 20_000.0, 150_000.0)
-            if commission > 0.0:
-                commission = self._perturb(rng, commission, 10_000.0, 75_000.0)
-            age = self._perturb(rng, age, 20.0, 80.0)
-            hval_lo = (9.0 - zipcode) * 50_000.0
-            hval_hi = (9.0 - zipcode) * 150_000.0
-            hvalue = self._perturb(rng, hvalue, hval_lo, hval_hi)
-            hyears = self._perturb(rng, hyears, 1.0, 30.0)
-            loan = self._perturb(rng, loan, 0.0, 500_000.0)
-        x = np.array(
-            [salary, commission, age, float(elevel), float(car), float(zipcode), hvalue, hyears, loan]
-        )
-        return Observation(t, x, label)
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        features = np.empty((self.length, self.n_features))
+        labels = np.empty(self.length, dtype=np.int64)
+        rng = np.random.default_rng(self.seed)
+        before, inside = self.schedule.phases(self.length)
+        for t, k, window in zip(range(self.length), before.tolist(), inside.tolist()):
+            # a window step draws its concept first
+            if window and rng.random() < self.schedule.incoming(t, k):
+                k += 1
+            salary = _uniform(rng, 20_000.0, 150_000.0)
+            commission = 0.0 if salary >= 75_000.0 else _uniform(rng, 10_000.0, 75_000.0)
+            age = _uniform(rng, 20.0, 80.0)
+            elevel = int(rng.integers(0, 5))
+            car = int(rng.integers(1, 21))
+            zipcode = int(rng.integers(0, 9))
+            hvalue = (9.0 - zipcode) * 100_000.0 * _uniform(rng, 0.5, 1.5)
+            hyears = float(rng.integers(1, 31))
+            loan = _uniform(rng, 0.0, 500_000.0)
+            labels[t] = AGRAWAL_RULES[self.concepts[k]](salary, commission, age, elevel)
+            if self.perturbation > 0.0:
+                salary = self._perturb(rng, salary, 20_000.0, 150_000.0)
+                if commission > 0.0:
+                    commission = self._perturb(rng, commission, 10_000.0, 75_000.0)
+                age = self._perturb(rng, age, 20.0, 80.0)
+                hval_lo = (9.0 - zipcode) * 50_000.0
+                hval_hi = (9.0 - zipcode) * 150_000.0
+                hvalue = self._perturb(rng, hvalue, hval_lo, hval_hi)
+                hyears = self._perturb(rng, hyears, 1.0, 30.0)
+                loan = self._perturb(rng, loan, 0.0, 500_000.0)
+            features[t] = salary, commission, age, elevel, car, zipcode, hvalue, hyears, loan
+        return features, labels
 
 
 GENERATORS = {"sea": SeaStream, "agrawal": AgrawalStream}

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .stream import BufferedStream
+from .stream import BufferedStream, as_integer
 
 MI_BINS = 10
 MIN_MI_SAMPLE = 100
@@ -101,7 +101,7 @@ def permute_inject(
     every per-feature value multiset from any drift position onward is
     exactly preserved.
     """
-    positions = tuple(int(p) for p in positions)
+    positions = tuple(as_integer(p, "injection position") for p in positions)
     if not positions:
         raise ValueError("need at least one injection position")
     if list(positions) != sorted(set(positions)):

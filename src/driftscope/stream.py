@@ -1,16 +1,19 @@
 """Stream sources and feature scaling.
 
-A stream source yields labeled observations one at a time in arrival
-order and declares its shape up front (feature count, class count,
-ground-truth drift positions when known). CSV files are buffered in
-memory at desk scale; synthetic generators declare their feature ranges
-so they can be scaled without a preliminary data pass.
+A stream source hands over its data as whole arrays (``arrays()``: a
+``length x n_features`` float matrix and int64 class labels) and
+declares its shape up front (feature count, class count, ground-truth
+drift positions when known); iterating it yields one observation per
+row. CSV files are parsed a column at a time into memory; synthetic
+generators declare their feature ranges so they can be scaled without a
+preliminary data pass.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -35,10 +38,9 @@ class StreamSource:
     """Base class for labeled streams.
 
     Subclasses set ``n_features``, ``n_classes``, ``length`` and
-    ``drift_positions`` and implement ``__iter__``; they may name their
-    features and declare each feature's ``(min, max)`` range. Iteration
-    must be repeatable: two passes over the same source yield identical
-    data.
+    ``drift_positions`` and implement ``arrays``; they may name their
+    features and declare each feature's ``(min, max)`` range. Every call
+    to ``arrays`` must give identical data, so iteration is repeatable.
     """
 
     n_features: int
@@ -48,11 +50,25 @@ class StreamSource:
     feature_names: tuple[str, ...] = ()
     feature_ranges: tuple[tuple[float, float], ...] = ()
 
-    def __iter__(self) -> Iterator[Observation]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(features, labels)``: a ``length x n_features`` float matrix and int64 class ids."""
         raise NotImplementedError
+
+    def __iter__(self) -> Iterator[Observation]:
+        features, labels = self.arrays()
+        for t in range(self.length):
+            yield Observation(t, features[t], int(labels[t]))
 
     def __len__(self) -> int:
         return self.length
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` through ``operator.index``: an int or numpy integer passes, anything else is named."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -83,31 +99,48 @@ class BufferedStream(StreamSource):
         if not self.feature_names:
             self.feature_names = tuple(f"f{i}" for i in range(self.n_features))
 
-    def __iter__(self) -> Iterator[Observation]:
-        for t in range(self.length):
-            yield Observation(t, self.features[t], int(self.labels[t]))
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.features, self.labels
 
 
 def buffer_stream(source: StreamSource) -> BufferedStream:
     """Materialize any stream source into arrays."""
     if isinstance(source, BufferedStream):
         return source
-    rows = np.empty((source.length, source.n_features), dtype=float)
-    labels = np.empty(source.length, dtype=np.int64)
-    n = 0
-    for item in source:
-        rows[n] = item.x
-        labels[n] = item.y
-        n += 1
-    if n != source.length:
-        raise ValueError(f"stream declared {source.length} observations but yielded {n}")
+    features, labels = source.arrays()
     return BufferedStream(
-        features=rows,
+        features=features,
         labels=labels,
         drift_positions=tuple(source.drift_positions),
         feature_names=tuple(source.feature_names),
         feature_ranges=tuple(source.feature_ranges),
     )
+
+
+def _parse_column(values, numeric: bool) -> tuple[list, tuple[int, str] | None]:
+    """A whole column's floats (numeric) or first-appearance codes, or else its first fault as ``(row, text)``."""
+    values = list(map(str.strip, values))
+    try:
+        if numeric:
+            parsed = list(map(float, values))
+            if all(map(math.isfinite, parsed)):
+                return parsed, None
+        elif "" not in values:
+            codes = {value: code for code, value in enumerate(dict.fromkeys(values))}
+            return list(map(codes.__getitem__, values)), None
+    except ValueError:
+        pass
+    # a column that failed is walked value by value, only to name its first fault
+    for r, value in enumerate(values):
+        if not value:
+            return [], (r, " is empty")
+        if numeric:
+            try:
+                number = float(value)
+            except ValueError:
+                return [], (r, f": non-numeric value {value!r} in a numeric column")
+            if not math.isfinite(number):
+                return [], (r, f": non-finite value {value!r}")
 
 
 def read_csv(
@@ -124,18 +157,17 @@ def read_csv(
     column is always encoded that way, so labels come out as 0..C-1.
     Ragged rows, missing fields, non-numeric values in a previously
     numeric column, and non-finite numbers (nan, inf) are rejected with
-    the row and column named.
+    the file's line and the column named, the first fault in reading
+    order: row by row; in a row the field count, features, then label.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise CsvParseError(f"{path}: file contains no data rows")
 
-    header = [name.strip() for name in rows[0]]
-    data_rows = rows[1:]
-    if not data_rows:
+    header = [name.strip() for name in rows.pop(0)]
+    if not rows:
         raise CsvParseError(f"{path}: file contains a header but no data rows")
 
     n_cols = len(header)
@@ -143,56 +175,38 @@ def read_csv(
         label_idx = header.index(label_column)
     except ValueError:
         raise CsvParseError(f"{path}: label column {label_column!r} not found in header {header}") from None
-
     feature_idx = [i for i in range(n_cols) if i != label_idx]
-    is_numeric = [True] * n_cols
-    categories: list[dict[str, int]] = [{} for _ in range(n_cols)]
 
-    # Column kind is fixed by its first value: numeric stays numeric.
-    first = data_rows[0]
-    if len(first) != n_cols:
-        raise CsvParseError(f"{path}: row 2 has {len(first)} fields, expected {n_cols}")
-    for j, value in enumerate(first):
+    # Rows before the first ragged one are parsed a column at a time.
+    whole = next((r for r, row in enumerate(rows) if len(row) != n_cols), len(rows))
+    faults = [(whole, 0, f" has {len(rows[whole])} fields, expected {n_cols}")] if whole < len(rows) else []
+    columns = list(zip(*rows[:whole]))
+    features = np.empty((whole, len(feature_idx)), dtype=float)
+    for k, j in enumerate([*feature_idx, label_idx] if whole else ()):
+        # Column kind is fixed by its first value: numeric stays numeric. Labels are always encoded.
         try:
-            float(value)
+            float(rows[0][j])
+            numeric = j != label_idx
         except ValueError:
-            is_numeric[j] = False
-    is_numeric[label_idx] = False  # labels always go through first-appearance encoding
-
-    features = np.empty((len(data_rows), len(feature_idx)), dtype=float)
-    labels = np.empty(len(data_rows), dtype=np.int64)
-    for r, row in enumerate(data_rows):
-        line = r + 2  # the header is line 1
-        if len(row) != n_cols:
-            raise CsvParseError(f"{path}: row {line} has {len(row)} fields, expected {n_cols}")
-        for k, j in enumerate(feature_idx):
-            value = row[j].strip()
-            if not value:
-                raise CsvParseError(f"{path}: row {line}, column {header[j]!r} is empty")
-            if is_numeric[j]:
-                try:
-                    number = float(value)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: row {line}, column {header[j]!r}: non-numeric value {value!r} "
-                        "in a numeric column"
-                    ) from None
-                if not math.isfinite(number):
-                    raise CsvParseError(f"{path}: row {line}, column {header[j]!r}: non-finite value {value!r}")
-                features[r, k] = number
-            else:
-                features[r, k] = categories[j].setdefault(value, len(categories[j]))
-        value = row[label_idx].strip()
-        if not value:
-            raise CsvParseError(f"{path}: row {line}, column {header[label_idx]!r} is empty")
-        labels[r] = categories[label_idx].setdefault(value, len(categories[label_idx]))
-
-    names = tuple(header[j] for j in feature_idx)
+            numeric = False
+        values, fault = _parse_column(columns[j], numeric)
+        if fault:
+            faults.append((fault[0], k, f", column {header[j]!r}{fault[1]}"))
+        elif j == label_idx:
+            labels = np.array(values, dtype=np.int64)
+        else:
+            features[:, k] = values
+    if faults:
+        r, _, text = min(faults)
+        with path.open(newline="") as fh:  # a row is named by the line it ends on; blank lines count
+            reader = csv.reader(fh)
+            line = [reader.line_num for row in reader if row][r + 1]
+        raise CsvParseError(f"{path}: row {line}{text}")
     return BufferedStream(
         features=features,
         labels=labels,
         drift_positions=tuple(drift_positions),
-        feature_names=names,
+        feature_names=tuple(header[j] for j in feature_idx),
     )
 
 

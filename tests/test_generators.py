@@ -64,6 +64,20 @@ class TestDriftSchedule:
         with pytest.raises(ValueError, match="beyond"):
             DriftSchedule(positions=(500,)).validate_for_length(500)
 
+    @pytest.mark.parametrize(
+        "positions, widths, message",
+        [
+            ((100.7, 200.2), (), "drift position must be an integer, got 100.7"),
+            ((100, 200), (10, 20.5), "drift width must be an integer, got 20.5"),
+        ],
+        ids=["positions", "widths"],
+    )
+    def test_rejects_fractional_steps_and_accepts_numpy_integers(self, positions, widths, message):
+        with pytest.raises(ValueError, match=message):
+            DriftSchedule(positions, widths)
+        s = DriftSchedule((np.int64(100), np.int64(200)), (np.int64(10), np.int64(20)))
+        assert s.positions == (100, 200) and s.widths == (10, 20)
+
 
 class TestTransitionProbability:
     def test_center_is_half(self):
@@ -167,6 +181,44 @@ class TestSeaStream:
         with pytest.raises(ValueError, match="perturbation"):
             SeaStream(length=100, perturbation=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"length": 300.0}, "stream length must be an integer, got 300.0"),
+            ({"length": 300, "concepts": (0.5,)}, "concept must be an integer, got 0.5"),
+        ],
+        ids=["length", "concepts"],
+    )
+    def test_rejects_fractional_length_and_concepts(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SeaStream(**kwargs)
+        stream = SeaStream(length=np.int64(300), concepts=(np.int64(1),))
+        assert (stream.length, stream.concepts) == (300, (1,))
+
+    @pytest.mark.parametrize(
+        "length, concepts, positions, widths, perturbation, digest",
+        [
+            (600, (1,), (), (), 0.0, "84d7b63a8d8b021da8bbad30f2d4da28be67aba35a78f8ef9cb8cbaa291e8779"),
+            (600, (1,), (), (), 0.1, "e7b7b6619b3edb22f6fffc462136dd6cc835c4e242ab9f760cf3caa03db65c81"),
+            (1, (3,), (), (), 0.1, "719857a67f9c0ddc1198f520abec65e14ff3febf05baa6484dad7d51945dd155"),
+            (600, (0, 2, 3), (200, 400), (), 0.1, "b3abd7b08722e9fd3cf015f89c38bfd4c206061b825e3fda099c70fdb96a614a"),
+            # windows [1, 201), [449.5, 550.5) and [800, 1000): the first starts at step 1, the last ends at the last step
+            (1000, (0, 1, 2, 3), (101, 500, 900), (200, 101, 200), 0.0,
+             "dc86302ab66a07d1bef9b63f71ed095a7ca7cc2af3c1482a3af1ad8a7e7fd3f5"),
+            (1000, (0, 1, 2, 3), (101, 500, 900), (200, 101, 200), 0.1,
+             "d31f8869d2ff2393e5adcd52ac50734390509ce234230231dc214ffd3ae88557"),
+        ],
+        ids=["no-drift-clean", "no-drift", "one-row", "abrupt", "gradual-clean", "gradual"],
+    )
+    def test_stream_is_frozen(self, length, concepts, positions, widths, perturbation, digest):
+        # taken from the generator that drew row by row: drawing in one call must not change a bit
+        features, labels = _labels_and_features(
+            SeaStream(length, concepts, DriftSchedule(positions, widths), perturbation=perturbation, seed=7)
+        )
+        h = hashlib.sha256(features.tobytes())
+        h.update(labels.tobytes())
+        assert h.hexdigest() == digest
+
 
 class TestAgrawalStream:
     def test_rule_0_is_age_band(self):
@@ -244,6 +296,15 @@ class TestMakeGenerator:
     def test_builds_by_kind(self):
         assert isinstance(make_generator("sea", length=10), SeaStream)
         assert isinstance(make_generator("agrawal", length=10), AgrawalStream)
+
+    @pytest.mark.parametrize("kind", ["sea", "agrawal"])
+    def test_iteration_yields_the_buffered_rows(self, kind):
+        source = make_generator(kind, length=300, concepts=(0, 1), schedule=DriftSchedule((150,), (61,)), seed=2)
+        buf = buffer_stream(source)
+        items = list(source)
+        assert [item.t for item in items] == list(range(300))
+        assert np.array_equal(np.array([item.x for item in items]), buf.features)
+        assert [item.y for item in items] == buf.labels.tolist()
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown generator"):

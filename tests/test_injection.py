@@ -179,3 +179,9 @@ class TestPermuteInject:
     def test_rejects_empty_positions(self):
         with pytest.raises(ValueError, match="at least one"):
             permute_inject(self._stream(), ())
+
+    def test_rejects_fractional_position_and_accepts_numpy_integers(self):
+        with pytest.raises(ValueError, match="injection position must be an integer, got 120.9"):
+            permute_inject(self._stream(), (120.9,))
+        injected = permute_inject(self._stream(), (np.int64(120),))
+        assert injected.drift_positions == (120,) and type(injected.drift_positions[0]) is int

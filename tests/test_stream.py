@@ -55,6 +55,52 @@ class TestReadCsv:
         with pytest.raises(CsvParseError, match=f"row 3, column 'x2': non-finite value '{value}'"):
             read_csv(p, label_column="y")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # blank lines still count
+            ("a,b,y\n1,2,0\n\n3,foo,1\n", "row 4, column 'b': non-numeric value 'foo' in a numeric column"),
+            # a record is numbered by the line it ends on
+            ('a,c,y\n1,"x\ny",0\n2,z,1\n3,w,\n', "row 5, column 'y' is empty"),
+        ],
+        ids=["blank-line", "multi-line-record"],
+    )
+    def test_fault_names_the_line_of_the_file(self, tmp_path, text, message):
+        with pytest.raises(CsvParseError, match=message):
+            read_csv(_write(tmp_path, text), label_column="y")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a fault in an earlier row beats a ragged later row
+            ("a,b,y\n1,2,0\n1,oops,1\n3,4\n", "row 3, column 'b': non-numeric value 'oops' in a numeric column"),
+            # a ragged row beats its own values
+            ("a,b,y\n1,2,0\n1,oops\n", "row 3 has 2 fields, expected 3"),
+            # rows come before columns
+            ("a,b,y\n1,2,0\n1,x,0\noops,2,0\n", "row 3, column 'b': non-numeric value 'x' in a numeric column"),
+            # within a row, the features left to right, then the label
+            ("a,b,y\n1,2,0\n,oops,\n", "row 3, column 'a' is empty"),
+            ("a,b,y\n1,2,0\n1,nan,\n", "row 3, column 'b': non-finite value 'nan'"),
+            ("y,a\n0,1\n,oops\n", "row 3, column 'a': non-numeric value 'oops' in a numeric column"),
+            # a non-finite value beats a later unparseable one in the same column
+            ("a,y\n1,0\ninf,1\nabc,0\n", "row 3, column 'a': non-finite value 'inf'"),
+        ],
+        ids=[
+            "earlier-row-beats-ragged",
+            "ragged-beats-own-values",
+            "row-before-column",
+            "empty-feature-first",
+            "feature-before-label",
+            "feature-before-earlier-label-column",
+            "non-finite-before-unparseable",
+        ],
+    )
+    def test_reports_the_first_fault_in_reading_order(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(CsvParseError) as err:
+            read_csv(path, label_column="y")
+        assert str(err.value) == f"{path}: {message}"
+
     def test_missing_field_rejected(self, tmp_path):
         p = _write(tmp_path, "a,b\n1.5,0\n,1\n")
         with pytest.raises(CsvParseError, match="empty"):
