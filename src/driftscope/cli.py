@@ -13,9 +13,10 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import DEFAULTS, MODEL_KINDS, detector_settings, load_config, merge_config, validate_config
+from .config import DEFAULTS, DetectorConfig, detector_settings, load_config, merge_config, validate_config
 from .evaluation import run_benchmark
 from .generators import GENERATORS, DriftSchedule, make_generator
 from .injection import MI_BINS, permute_inject
@@ -316,15 +317,9 @@ def _add_common_flags(parser, with_seed: bool = True):
 
 
 def _add_detector_flags(parser, with_model: bool = True):
-    if with_model:  # tracking is defined for the linear model only
-        parser.add_argument("--model", choices=MODEL_KINDS, help="online model kind")
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float, help="model learning rate")
-    parser.add_argument("--gamma", type=float, help="cluster similarity threshold")
-    parser.add_argument("--alpha", type=float, help="test significance level")
-    parser.add_argument("--beta", type=float, help="baseline smoothing rate")
-    parser.add_argument("--window", type=int, help="node window length (even)")
-    parser.add_argument("--max-age", dest="max_age", type=int, help="obsolescence age for pruning")
-    parser.add_argument("--max-depth", dest="max_depth", type=int, help="tree depth cap")
+    for f in fields(DetectorConfig):
+        if f.name != "model" or with_model:  # tracking is defined for the linear model only
+            parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, **f.metadata)
 
 
 def _add_generator_flags(parser, kind_required: bool):

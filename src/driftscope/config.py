@@ -11,7 +11,7 @@ null`` removes the depth cap); an unset flag overrides nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .evaluation import DEFAULT_INTERVALS, DEFAULT_WARMUP
@@ -53,21 +53,22 @@ class DetectorConfig:
       points instead of splitting. ``None`` removes the cap, 0 forces a
       single leaf.
 
-    Every bad value raises a ``ValueError`` naming its field.
+    Every bad value raises a ``ValueError`` naming its field. Each field's
+    metadata is its command-line flag (argparse ``type`` or ``choices``, and ``help``).
     """
 
-    model: str = "logreg"
-    learning_rate: float = 0.1
-    gamma: float = 0.95
-    alpha: float = 0.01
-    beta: float = 0.001
-    window: int = 200
-    max_age: int = 1000
-    max_depth: int | None = 5
+    model: str = field(default="logreg", metadata={"choices": MODEL_KINDS, "help": "online model kind"})
+    learning_rate: float = field(default=0.1, metadata={"type": float, "help": "model learning rate"})
+    gamma: float = field(default=0.95, metadata={"type": float, "help": "cluster similarity threshold"})
+    alpha: float = field(default=0.01, metadata={"type": float, "help": "test significance level"})
+    beta: float = field(default=0.001, metadata={"type": float, "help": "baseline smoothing rate"})
+    window: int = field(default=200, metadata={"type": int, "help": "node window length (even)"})
+    max_age: int = field(default=1000, metadata={"type": int, "help": "obsolescence age for pruning"})
+    max_depth: int | None = field(default=5, metadata={"type": int, "help": "tree depth cap"})
 
     def __post_init__(self):
         model = self.model
-        _require(model in MODEL_KINDS, "model", f"must be 'logreg' or 'gnb', got {model!r}")
+        _require(model in MODEL_KINDS, "model", f"must be {' or '.join(map(repr, MODEL_KINDS))}, got {model!r}")
         lr = self.learning_rate
         _require(_is_number(lr) and lr >= 0.0, "learning_rate", f"must be >= 0, got {lr!r}")
         gamma = self.gamma
@@ -147,7 +148,7 @@ def validate_config(cfg: dict) -> dict:
     """Check the detector and run invariants, naming the offending field."""
     DetectorConfig(**detector_settings(cfg))
     seed = cfg.get("seed")
-    _require(_is_number(seed, int), "seed", f"must be an integer, got {seed!r}")
+    _require(_is_number(seed, int) and seed >= 0, "seed", f"must be an integer >= 0, got {seed!r}")
     warmup = cfg.get("warmup")
     _require(_is_number(warmup, int) and warmup >= 0, "warmup", f"must be an integer >= 0, got {warmup!r}")
     fractions = cfg.get("interval_fractions")

@@ -247,6 +247,8 @@ def scaled(source: StreamSource) -> Iterator[Observation]:
     scaled by those fixed ranges; anything else by the min and max of
     its buffered features, so a ``BufferedStream`` is read only once.
     """
+    if not source.length:
+        return
     if source.feature_ranges:
         lo, hi = zip(*source.feature_ranges)
         norm = Normalizer(lo, hi)

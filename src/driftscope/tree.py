@@ -18,13 +18,13 @@ non-finite vector.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DetectorConfig
 from .numerics import corrected_alpha, fisher_combine, t_test_unpaired
+from .stream import as_integer
 
 SCOPE_LOCAL = "local"
 SCOPE_GLOBAL = "global"
@@ -246,10 +246,7 @@ class AdaptiveClusterTree:
         x = self._feature_vector(x)
         if not math.isfinite(diff):
             raise ValueError("update requires a finite diff")
-        try:
-            t = operator.index(t)
-        except TypeError:
-            raise ValueError(f"time step must be an integer, got {t!r}") from None
+        t = as_integer(t, "time step")
         if self._last_t is not None and t <= self._last_t:
             raise ValueError(f"time steps must be strictly increasing, got {t} after {self._last_t}")
         if not self.nodes:

@@ -185,6 +185,22 @@ class TestMergeAndValidate:
         with pytest.raises(ValueError, match="config field 'seed'"):
             validate_config(merge_config(load_config(cfg_file)))
 
+    def test_negative_seed_is_rejected_by_name(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match=r"^config field 'seed': must be an integer >= 0, got -1$"):
+            validate_config(merge_config(None, {"seed": -1}))
+        code, _, err = _run(["generate", "--kind", "sea", "--seed", "-1", "--out", str(tmp_path / "g")], capsys)
+        assert code == 2
+        assert "config field 'seed': must be an integer >= 0, got -1" in err
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed = -1\n")
+        code, _, err = _run(["bench", "--stream", "s.csv", "--config", str(cfg_file), "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "config field 'seed'" in err
+
+    def test_model_message_lists_the_model_kinds(self):
+        with pytest.raises(ValueError, match=r"must be 'logreg' or 'gnb', got 'svm'$"):
+            DetectorConfig(model="svm")
+
 
 # One non-default value per DetectorConfig field, as typed on the command line.
 _FLAG_VALUES = {
@@ -222,6 +238,21 @@ class TestDetectorFlags:
     def test_tracking_has_no_model_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["track-attributions", "--model", "gnb", "--out", "x"])
+
+    @pytest.mark.parametrize("command", ["detect", "bench", "track-attributions"])
+    def test_field_metadata_drives_the_flag(self, command):
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        actions = {a.dest: a for a in subparsers.choices[command]._actions}
+        for f in fields(DetectorConfig):
+            if command == "track-attributions" and f.name == "model":
+                assert f.name not in actions
+                continue
+            action = actions[f.name]
+            assert action.option_strings == [f"--{f.name.replace('_', '-')}"]
+            assert action.type == f.metadata.get("type")
+            assert action.choices == f.metadata.get("choices")
+            assert action.help == f.metadata["help"]
+            assert action.default is None
 
 
 class TestGenerate:

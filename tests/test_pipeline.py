@@ -330,6 +330,18 @@ class TestRunners:
         alerts, _ = ddm_runner()(stream)
         assert len(alerts) <= 1
 
+    def test_empty_stream_gives_what_one_row_gives(self):
+        empty = BufferedStream(np.empty((0, 3)), np.empty(0, np.int64))
+        one_row = BufferedStream(np.zeros((1, 3)), np.zeros(1, np.int64))
+        for stream in (empty, one_row):
+            result = run_detection(stream)
+            assert (result.steps, result.accuracy, result.alerts, result.stats) == (0, 0.0, (), ())
+            assert result.global_alert_steps == []
+            assert ddm_runner()(stream) == ([], 0.0)
+            assert len(list(scaled(stream))) == stream.length
+        with pytest.raises(ValueError, match="does not fit the stream prefix"):
+            run_tracking(empty)
+
     def test_ddm_runner_rejects_bad_setting_when_built(self):
         with pytest.raises(ValueError, match="'model'"):
             ddm_runner(model="svm")
