@@ -15,7 +15,7 @@ from .evaluation import (
 )
 from .generators import AgrawalStream, DriftSchedule, SeaStream, make_generator
 from .injection import permute_inject
-from .models import GaussianNaiveBayes, OnlineLogisticRegression, detector_input
+from .models import GaussianNaiveBayes, OnlineLogisticRegression
 from .pipeline import RunResult, TrackingResult, run_detection, run_tracking
 from .stream import BufferedStream, buffer_stream, read_csv
 from .tree import AdaptiveClusterTree, DriftAlert
@@ -41,7 +41,6 @@ __all__ = [
     "attribute_linear",
     "buffer_stream",
     "compute_recall_fdr",
-    "detector_input",
     "make_generator",
     "permute_inject",
     "read_csv",

@@ -44,19 +44,14 @@ def mutual_information(values: np.ndarray, labels: np.ndarray, bins: int = MI_BI
         return 0.0
     edges = np.linspace(lo, hi, bins + 1)
     binned = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, bins - 1)
-    classes = np.unique(labels)
+    classes, codes = np.unique(labels, return_inverse=True)
+    joint = np.bincount(binned * len(classes) + codes, minlength=bins * len(classes)).reshape(bins, -1)
+    p_b = joint.sum(axis=1) / n
+    p_c = joint.sum(axis=0) / n
     mi = 0.0
-    for b in range(bins):
-        in_bin = binned == b
-        p_b = in_bin.sum() / n
-        if p_b == 0.0:
-            continue
-        for c in classes:
-            p_bc = np.logical_and(in_bin, labels == c).sum() / n
-            if p_bc == 0.0:
-                continue
-            p_c = (labels == c).sum() / n
-            mi += p_bc * math.log(p_bc / (p_b * p_c))
+    for b, c in zip(*np.nonzero(joint)):  # added bin by bin, each bin's classes in order
+        p_bc = joint[b, c] / n
+        mi += p_bc * math.log(p_bc / (p_b[b] * p_c[c]))
     return max(mi, 0.0)
 
 

@@ -6,8 +6,10 @@ loop: ``predict(xs)`` first (test), then ``update(x, y, prediction)``
 or a batch with a leading axis, so the loop predicts an observation and
 the baseline input in one call. The logistic model returns a
 positive-class probability (a list of them for a batch); naive Bayes
-returns a posterior vector (one row per batch row), and
-``detector_input`` reduces either form to the scalar the detector uses.
+returns a posterior vector (one row per batch row). Each model reads
+its own predictions: ``predicted_class(prediction)`` is the class it
+predicts, and ``detector_input(prediction, baseline_prediction)`` is
+the scalar the detector uses.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ class OnlineLogisticRegression:
         g = self.learning_rate * (prediction - y)
         self.weights -= g * np.asarray(x, dtype=float)
         self.bias -= g
+
+    def predicted_class(self, p: float) -> int:
+        return int(p >= 0.5)
+
+    def detector_input(self, p: float, p_base: float) -> float:
+        """The gap between the positive-class probabilities of x and of the baseline input."""
+        return p - p_base
 
 
 class GaussianNaiveBayes:
@@ -118,24 +127,10 @@ class GaussianNaiveBayes:
         post = np.exp(log_post - np.maximum.reduce(log_post, axis=-1, keepdims=True))
         return post / np.add.reduce(post, axis=-1, keepdims=True)
 
+    def predicted_class(self, post: np.ndarray) -> int:
+        return int(post.argmax())
 
-def detector_input(model_out, baseline_out) -> float:
-    """Reduce a (prediction, baseline prediction) pair to one scalar.
-
-    Scalar outputs (binary models) subtract directly. Vector outputs
-    compare the probability of the observation's predicted class:
-    p(k* | x) - p(k* | baseline) with k* = argmax over the observation's
-    posterior.
-    """
-    if isinstance(model_out, float) and isinstance(baseline_out, float):
-        return float(model_out - baseline_out)
-    mo = np.asarray(model_out, dtype=float)
-    bo = np.asarray(baseline_out, dtype=float)
-    if (mo.ndim == 0) != (bo.ndim == 0):
-        raise ValueError("model and baseline outputs must both be scalars or both be vectors")
-    if mo.shape != bo.shape:
-        raise ValueError(f"output shapes differ: {mo.shape} vs {bo.shape}")
-    if mo.ndim == 0:
-        return float(mo) - float(bo)
-    k = int(mo.argmax())
-    return float(mo[k] - bo[k])
+    def detector_input(self, post: np.ndarray, post_base: np.ndarray) -> float:
+        """p(k | x) - p(k | baseline input), with k the class predicted for x."""
+        k = int(post.argmax())
+        return float(post[k] - post_base[k])

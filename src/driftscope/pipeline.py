@@ -5,12 +5,12 @@ Step 0 only trains the model (and seeds the change detector's baseline),
 so every later step sees a model that has been trained at least once.
 From step 1 on the engine first moves the baseline input by the
 observation, then predicts the observation and the baseline input in
-one call on the 2 x m array [x, baseline]. It hands both pre-update
-predictions to the run's own step (accuracy, the detector's diff, DDM's
-correctness indicator), and trains on the label only after the step is
-done. Feature vectors are scaled to the unit box first (declared
-generator ranges, or a min-max fit for buffered data) so that the
-tree's similarity threshold means the same thing on every stream.
+one call on the 2 x m array [x, baseline]. The model reads its own
+predictions, so the run's step sees only the predicted class of x and
+the detector's diff, never a raw prediction; training on the label
+follows the step. Feature vectors are scaled to the unit box first
+(declared generator ranges, or a min-max fit for buffered data) so that
+the tree's similarity threshold means the same thing on every stream.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .attribution import AttributionTracker, attribute_linear
 from .baseline import EwmaBaseline
 from .config import DetectorConfig
 from .evaluation import DetectorRunner, DdmDetector
-from .models import GaussianNaiveBayes, OnlineLogisticRegression, detector_input
+from .models import GaussianNaiveBayes, OnlineLogisticRegression
 from .stream import StreamSource, scaled
 from .tree import SCOPE_GLOBAL, AdaptiveClusterTree, DriftAlert
 
@@ -40,22 +40,16 @@ def build_model(config: DetectorConfig, n_features: int, n_classes: int):
     return OnlineLogisticRegression(n_features, learning_rate=config.learning_rate)
 
 
-def _predicted_class(prediction) -> int:
-    if isinstance(prediction, float):
-        return int(prediction >= 0.5)
-    return int(prediction.argmax())
-
-
 def _prequential(stream: StreamSource, clf, baseline: EwmaBaseline | None = None):
     """Test-then-train over the stream, scaled into the unit box.
 
-    Yields ``(item, prediction, baseline_prediction)`` for every step
-    t >= 1: the scaled observation, the model's one prediction of
-    ``item.x`` before it trains on ``item``, and, with a ``baseline``
-    (updated with ``item.x`` first; step 0 seeds it), the prediction of
-    the baseline input from the same ``predict`` call, else None.
-    Training happens when the consumer asks for the next step, and
-    reuses that prediction.
+    Yields ``(item, predicted_class, diff)`` for every step t >= 1: the
+    scaled observation, the class the model predicts for ``item.x``
+    before it trains on ``item``, and, with a ``baseline`` (updated with
+    ``item.x`` first; step 0 seeds it), the detector's input
+    ``clf.detector_input`` reads from the one ``predict`` call of x and
+    the baseline input, else None. Training happens when the consumer
+    asks for the next step, and reuses that prediction.
     """
     for item in scaled(stream):
         x = item.x
@@ -64,10 +58,11 @@ def _prequential(stream: StreamSource, clf, baseline: EwmaBaseline | None = None
         prediction = None
         if item.t:
             if baseline is None:
-                prediction, baseline_prediction = clf.predict(x), None
+                prediction, diff = clf.predict(x), None
             else:
                 prediction, baseline_prediction = clf.predict(np.array((x, ewma)))
-            yield item, prediction, baseline_prediction
+                diff = clf.detector_input(prediction, baseline_prediction)
+            yield item, clf.predicted_class(prediction), diff
         clf.update(x, item.y, prediction)
 
 
@@ -79,9 +74,9 @@ class _ChangeDetector:
         self.baseline = EwmaBaseline(config.beta)
         self.tree = AdaptiveClusterTree(stream.n_features, config)
 
-    def detect(self, x: np.ndarray, prediction, baseline_prediction, t: int) -> list[DriftAlert]:
-        """Local and global alerts of step t, given the model's predictions of x and the baseline input."""
-        alerts = self.tree.update(x, detector_input(prediction, baseline_prediction), t)
+    def detect(self, x: np.ndarray, diff: float, t: int) -> list[DriftAlert]:
+        """Local and global alerts of step t, given the detector's input at x."""
+        alerts = self.tree.update(x, diff, t)
         global_alert = self.tree.test_global_change()
         if global_alert is not None:
             alerts.append(global_alert)
@@ -121,12 +116,12 @@ def run_detection(stream: StreamSource, **settings) -> RunResult:
     steps = 0
     detector_seconds = 0.0
     started = time.perf_counter()
-    for item, prediction, baseline_prediction in _prequential(stream, detector.clf, detector.baseline):
+    for item, predicted_class, diff in _prequential(stream, detector.clf, detector.baseline):
         t = item.t
-        correct += _predicted_class(prediction) == item.y
+        correct += predicted_class == item.y
         steps += 1
         tick = time.perf_counter()
-        alerts.extend(detector.detect(item.x, prediction, baseline_prediction, t))
+        alerts.extend(detector.detect(item.x, diff, t))
         detector_seconds += time.perf_counter() - tick
         stats.append((t, tree.node_count, tree.leaf_count))
     total_seconds = time.perf_counter() - started
@@ -202,11 +197,11 @@ def run_tracking(
     detector_seconds = 0.0
     steps = 0
     started = time.perf_counter()
-    for item, prediction, baseline_prediction in _prequential(stream, clf, detector.baseline):
+    for item, _, diff in _prequential(stream, clf, detector.baseline):
         t, x = item.t, item.x
         steps += 1
         tick = time.perf_counter()
-        alerts = detector.detect(x, prediction, baseline_prediction, t)
+        alerts = detector.detect(x, diff, t)
         base_vec = detector.baseline.ewma
         stale = tracker.step(alerts) if policy == "cdleeds" and tracker.history else []
         for row, reason in stale:
@@ -276,9 +271,9 @@ def ddm_runner(**settings) -> DetectorRunner:
         alerts: list[int] = []
         detector_seconds = 0.0
         steps = 0
-        for item, prediction, _ in _prequential(stream, clf):
+        for item, predicted_class, _ in _prequential(stream, clf):
             steps += 1
-            is_correct = _predicted_class(prediction) == item.y
+            is_correct = predicted_class == item.y
             tick = time.perf_counter()
             if ddm.update(is_correct):
                 alerts.append(item.t)

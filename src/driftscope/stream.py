@@ -215,7 +215,8 @@ class Normalizer:
     """Per-feature min-max scaler mapping values into [0, 1].
 
     Constant features map to 0. Values outside the fitted range
-    extrapolate linearly, so a fixed declared range can be reused.
+    extrapolate linearly, so a fixed declared range can be reused. A
+    range whose bounds or span (max - min) are not finite is rejected.
     """
 
     mins: np.ndarray
@@ -229,7 +230,12 @@ class Normalizer:
             raise ValueError("mins and maxs must be equal-length vectors")
         if np.any(self.maxs < self.mins):
             raise ValueError("each feature max must be >= its min")
-        span = self.maxs - self.mins
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = self.maxs - self.mins
+        bad = np.flatnonzero(~np.isfinite(span))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(f"feature {i}: range [{self.mins[i].item()!r}, {self.maxs[i].item()!r}] has no finite span")
         span[span == 0.0] = 1.0  # constant features map to 0
         self._span = span
 

@@ -17,7 +17,41 @@ def _entropy(labels):
     return float(-(p * np.log(p)).sum())
 
 
+def _loop_mutual_information(values, labels, bins):
+    """Reference: the per-bin, per-class mask loop, adding bin by bin and class by class."""
+    n = values.size
+    lo, hi = float(values.min()), float(values.max())
+    if hi <= lo:
+        return 0.0
+    edges = np.linspace(lo, hi, bins + 1)
+    binned = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, bins - 1)
+    mi = 0.0
+    for b in range(bins):
+        in_bin = binned == b
+        p_b = in_bin.sum() / n
+        if p_b == 0.0:
+            continue
+        for c in np.unique(labels):
+            p_bc = np.logical_and(in_bin, labels == c).sum() / n
+            if p_bc == 0.0:
+                continue
+            p_c = (labels == c).sum() / n
+            mi += p_bc * math.log(p_bc / (p_b * p_c))
+    return max(mi, 0.0)
+
+
 class TestMutualInformation:
+    def test_equals_per_bin_per_class_loop_exactly(self):
+        rng = np.random.default_rng(4)
+        for case in range(300):
+            n = int(rng.integers(1, 400))
+            bins = int(rng.integers(2, 16))
+            classes = rng.choice([0, 1, 2, 5, 9], size=int(rng.integers(1, 5)), replace=False)
+            labels = rng.choice(classes, size=n)
+            values = rng.normal(size=n) if case % 3 else rng.integers(0, 4, size=n).astype(float)
+            values[labels == classes[0]] += rng.random()  # some dependence on the label
+            assert mutual_information(values, labels, bins) == _loop_mutual_information(values, labels, bins), case
+
     def test_label_copy_reaches_label_entropy(self):
         rng = np.random.default_rng(0)
         labels = (rng.random(5000) < 0.3).astype(int)

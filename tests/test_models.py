@@ -10,7 +10,6 @@ from driftscope.models import (
     VARIANCE_FLOOR,
     GaussianNaiveBayes,
     OnlineLogisticRegression,
-    detector_input,
 )
 
 
@@ -230,20 +229,47 @@ class TestBatchedPredict:
 
 class TestDetectorInput:
     def test_binary_scalar_difference(self):
-        assert detector_input(0.9, 0.6) == pytest.approx(0.3)
+        assert OnlineLogisticRegression(1).detector_input(0.9, 0.6) == pytest.approx(0.3)
 
     def test_multiclass_predicted_class_difference(self):
         pred = np.array([0.1, 0.7, 0.2])
         base = np.array([0.3, 0.3, 0.4])
-        assert detector_input(pred, base) == pytest.approx(0.4)
+        assert GaussianNaiveBayes(1, 3).detector_input(pred, base) == pytest.approx(0.4)
 
     def test_identical_outputs_give_zero(self):
         v = np.array([0.2, 0.5, 0.3])
-        assert detector_input(v, v.copy()) == 0.0
-        assert detector_input(0.5, 0.5) == 0.0
+        assert GaussianNaiveBayes(1, 3).detector_input(v, v.copy()) == 0.0
+        assert OnlineLogisticRegression(1).detector_input(0.5, 0.5) == 0.0
 
-    def test_mixed_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            detector_input(0.5, np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            detector_input(np.array([0.5, 0.5]), np.array([0.5, 0.3, 0.2]))
+
+class TestModelReadsItsPredictions:
+    """Each model reads its own ``predict`` output: the class it predicts and the detector's input."""
+
+    def test_logistic_reads_probabilities(self):
+        rng = np.random.default_rng(41)
+        model = OnlineLogisticRegression(3)
+        for _ in range(200):
+            x = rng.random(3)
+            model.update(x, int(x.sum() > 1.5))
+        xs = rng.normal(scale=2.0, size=(40, 3))
+        ps = model.predict(xs)
+        assert {model.predicted_class(p) for p in ps} == {0, 1}
+        for p, p_base in zip(ps, ps[::-1]):
+            assert model.predicted_class(p) == int(p >= 0.5)
+            diff = model.detector_input(p, p_base)
+            assert type(diff) is float
+            assert diff == float(p - p_base)
+
+    def test_naive_bayes_reads_posteriors(self):
+        rng = np.random.default_rng(42)
+        model = GaussianNaiveBayes(3, 3)
+        for y in rng.integers(0, 3, size=300).tolist():
+            model.update(rng.random(3) + y, y)
+        posts = model.predict(rng.random((40, 3)) * 3.0)
+        assert {model.predicted_class(post) for post in posts} == {0, 1, 2}
+        for post, post_base in zip(posts, posts[::-1]):
+            k = int(post.argmax())
+            assert model.predicted_class(post) == k
+            diff = model.detector_input(post, post_base)
+            assert type(diff) is float
+            assert diff == float(post[k] - post_base[k])

@@ -7,7 +7,7 @@ from driftscope.baseline import EwmaBaseline
 from driftscope.config import MODEL_KINDS, DetectorConfig
 from driftscope.generators import AgrawalStream, DriftSchedule, SeaStream
 from driftscope.injection import permute_inject
-from driftscope.models import GaussianNaiveBayes, OnlineLogisticRegression, detector_input
+from driftscope.models import GaussianNaiveBayes, OnlineLogisticRegression
 from driftscope.pipeline import (
     TRACKING_POLICIES,
     build_model,
@@ -342,6 +342,14 @@ class TestRunners:
         with pytest.raises(ValueError, match="does not fit the stream prefix"):
             run_tracking(empty)
 
+    def test_finite_stream_whose_range_overflows_is_rejected_before_step_one(self):
+        # finite data that BufferedStream accepts, but max - min overflows to inf
+        features = np.array([[1e308, 0.0], [-1e308, 1.0], [0.0, 0.5]] * 10)
+        stream = BufferedStream(features, np.array([0, 1, 0] * 10))
+        for run in (run_detection, lambda s: run_tracking(s, sample_size=2, sample_prefix=10), ddm_runner()):
+            with pytest.raises(ValueError, match=r"^feature 0: range \[-1e\+308, 1e\+308\] has no finite span$"):
+                run(stream)
+
     def test_ddm_runner_rejects_bad_setting_when_built(self):
         with pytest.raises(ValueError, match="'model'"):
             ddm_runner(model="svm")
@@ -363,7 +371,7 @@ class TestDetectorInputWiring:
         clf.update(items[0].x, items[0].y)
         baseline.update(items[1].x)
         prediction, baseline_prediction = clf.predict(np.array((items[1].x, baseline.ewma)))
-        diff = detector_input(prediction, baseline_prediction)
+        diff = clf.detector_input(prediction, baseline_prediction)
         assert isinstance(diff, float)
         # constant stream: observation equals the baseline, so no gap
         assert diff == pytest.approx(0.0, abs=1e-12)

@@ -204,6 +204,19 @@ class TestNormalizer:
         with pytest.raises(ValueError):
             Normalizer(np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize(
+        "lo, hi, bounds",
+        [
+            (-1e308, 1e308, r"\[-1e\+308, 1e\+308\]"),  # finite bounds whose span overflows
+            (0.0, np.inf, r"\[0\.0, inf\]"),
+            (-np.inf, np.inf, r"\[-inf, inf\]"),
+            (np.nan, 1.0, r"\[nan, 1\.0\]"),
+        ],
+    )
+    def test_rejects_range_without_finite_span(self, lo, hi, bounds):
+        with pytest.raises(ValueError, match=f"^feature 1: range {bounds} has no finite span$"):
+            Normalizer(np.array([0.0, lo]), np.array([1.0, hi]))
+
 
 class TestScaled:
     def test_declared_ranges_take_precedence(self):
