@@ -8,8 +8,13 @@ sigmoid transition window around each scheduled drift position.
 
 Each generator builds its stream as whole arrays (``arrays()``). SEA
 draws only doubles, so one ``rng.random(n)`` call draws it all. Agrawal
-stays a row loop into preallocated arrays: its ``rng.integers`` draws
-use 32-bit halves that the bit generator buffers, so they cannot batch.
+mixes doubles with ``rng.integers`` draws, which take 32-bit halves of
+the raw words, and a row's word count depends on its salary draw. It is
+built in blocks of rows: one ``random_raw`` call draws a block's words,
+one pass over the integers finds each row's first word, and whole-array
+arithmetic turns the words into the very values the row loop would
+draw. From the first row where Lemire's method would reject an integer
+draw and redraw, the row loop draws the rest.
 """
 
 from __future__ import annotations
@@ -105,9 +110,9 @@ def transition_probability(t: int, position: int, width: int) -> float:
     return 1.0 / (1.0 + math.exp(min(z, 700.0)))
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """One draw of ``rng.uniform(lo, hi)``, by the same arithmetic without its per-call overhead."""
-    return lo + (hi - lo) * rng.random()
+def _uniform(u, lo, hi):
+    """``rng.uniform(lo, hi)``'s arithmetic on ``u``, one ``rng.random()`` draw or an array of them."""
+    return lo + (hi - lo) * u
 
 
 class _GeneratorBase(StreamSource):
@@ -140,6 +145,9 @@ class _GeneratorBase(StreamSource):
             )
         if any(not 0 <= c < len(self.concept_table) for c in self.concepts):
             raise ValueError(self.concept_error.format(self.concepts))
+        seed = as_integer(seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.length = length
         self.seed = seed
         self.drift_positions = self.schedule.positions
@@ -174,29 +182,47 @@ class SeaStream(_GeneratorBase):
         return features, labels.astype(np.int64)
 
 
-# Classification rule sets 0..2 of the classic loan-approval generator.
-# Class 0 is "group A" in each rule.
+# Classification rule sets 0..2 of the classic loan-approval generator,
+# as array functions (a scalar call gives a 0-d array). Class 0 is
+# "group A" in each rule.
 def _agrawal_rule_0(salary, commission, age, elevel):
-    return 0 if (age < 40 or age >= 60) else 1
+    return np.where((age < 40) | (age >= 60), 0, 1)
 
 
 def _agrawal_rule_1(salary, commission, age, elevel):
-    if age < 40:
-        return 0 if 50_000 <= salary <= 100_000 else 1
-    if age < 60:
-        return 0 if 75_000 <= salary <= 125_000 else 1
-    return 0 if 25_000 <= salary <= 75_000 else 1
+    group_a = np.where(
+        age < 40,
+        (50_000 <= salary) & (salary <= 100_000),
+        np.where(age < 60, (75_000 <= salary) & (salary <= 125_000), (25_000 <= salary) & (salary <= 75_000)),
+    )
+    return np.where(group_a, 0, 1)
 
 
 def _agrawal_rule_2(salary, commission, age, elevel):
-    if age < 40:
-        return 0 if elevel in (0, 1) else 1
-    if age < 60:
-        return 0 if elevel in (1, 2, 3) else 1
-    return 0 if elevel in (2, 3, 4) else 1
+    group_a = np.where(
+        age < 40,
+        np.isin(elevel, (0, 1)),
+        np.where(age < 60, np.isin(elevel, (1, 2, 3)), np.isin(elevel, (2, 3, 4))),
+    )
+    return np.where(group_a, 0, 1)
 
 
 AGRAWAL_RULES = (_agrawal_rule_0, _agrawal_rule_1, _agrawal_rule_2)
+
+# Agrawal rows drawn per block of raw words: enough to spread numpy's
+# per-call cost, few enough that a block's temporaries stay small.
+AGRAWAL_BLOCK_ROWS = 2048
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """``rng.random()`` of each raw PCG64 word: its top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _integers(halves: np.ndarray, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rng.integers(low, high)`` of each 32-bit half, and where Lemire's method would reject it and draw again."""
+    m = halves * np.uint64(high - low)
+    return low + (m >> np.uint64(32)).astype(np.int64), (m & np.uint64(0xFFFFFFFF)) < 2**32 % (high - low)
 
 
 class AgrawalStream(_GeneratorBase):
@@ -206,6 +232,20 @@ class AgrawalStream(_GeneratorBase):
     the clean feature values; ``perturbation`` then jitters each numeric
     feature by a uniform offset of up to that fraction of its range,
     clipped back to the legal range.
+
+    The stream is the one a row loop draws from ``default_rng(seed)``
+    (``_draw_rows``), built in blocks of ``AGRAWAL_BLOCK_ROWS`` rows from
+    raw PCG64 words. A row takes, in order: its concept draw (inside a
+    transition window only), salary, commission (salary below 75k only),
+    age, one word whose low and high 32-bit halves give elevel and car,
+    one word whose low half gives zipcode, hvalue, loan, and at
+    perturbation > 0 the jitters of salary, commission (if drawn), age,
+    hvalue, hyears and loan. hyears takes the high half of the zipcode
+    word, which the bit generator buffers across the doubles between. A
+    row is thus 6 + w + c words, or 11 + w + 2c with jitter, where w and
+    c mark the concept and commission draws. From the first row whose
+    integer draw Lemire's method would reject and redraw (about 1 row in
+    1e8), the rest of the stream comes from the row loop.
     """
 
     n_features = 9
@@ -225,41 +265,124 @@ class AgrawalStream(_GeneratorBase):
     concept_table = AGRAWAL_RULES
     concept_error = f"Agrawal concepts must index functions 0..{len(AGRAWAL_RULES) - 1}, got {{}}"
 
-    def _perturb(self, rng, value, lo, hi):
-        value += self.perturbation * (hi - lo) * (2.0 * rng.random() - 1.0)
-        return min(max(value, lo), hi)
+    def _perturb(self, value, u, lo, hi):
+        """Jitter ``value`` by up to ``perturbation`` of its range, clipped into it; ``u`` is ``rng.random()``."""
+        value = value + self.perturbation * (hi - lo) * (2.0 * u - 1.0)
+        return np.minimum(np.maximum(value, lo), hi)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         features = np.empty((self.length, self.n_features))
         labels = np.empty(self.length, dtype=np.int64)
-        rng = np.random.default_rng(self.seed)
         before, inside = self.schedule.phases(self.length)
-        for t, k, window in zip(range(self.length), before.tolist(), inside.tolist()):
+        base, extra = self._row_words
+        word = 0  # the first raw word of the block's first row
+        for lo in range(0, self.length, AGRAWAL_BLOCK_ROWS):
+            rows = range(lo, min(lo + AGRAWAL_BLOCK_ROWS, self.length))
+            most = (base + extra) * len(rows) + int(inside[lo : rows.stop].sum())
+            words = np.random.PCG64(self.seed).advance(word).random_raw(most)
+            kept, used = self._draw_block(words, rows, before, inside, features, labels)
+            word += used
+            if kept < len(rows):  # a rejected integer draw: the row loop takes over from that row
+                self._draw_rows(features, labels, lo + kept, word)
+                break
+        return features, labels
+
+    @property
+    def _row_words(self) -> tuple[int, int]:
+        """Raw words of a row outside a window that draws no commission, and the words a commission adds."""
+        return (11, 2) if self.perturbation > 0.0 else (6, 1)
+
+    def _row_starts(self, words: np.ndarray, window: np.ndarray) -> np.ndarray:
+        """Each row's first word in ``words``, then the word after the last row; ``window`` marks window rows."""
+        base, extra = self._row_words
+        commissioned = (_uniform(_doubles(words), 20_000.0, 150_000.0) < 75_000.0).tobytes()
+        starts = []
+        p = 0
+        for w in window.tolist():
+            starts.append(p)
+            p += base + w + extra * commissioned[p + w]  # the salary is word p + w
+        starts.append(p)
+        return np.array(starts)
+
+    def _draw_block(self, words, rows, before, inside, features, labels) -> tuple[int, int]:
+        """Draw rows ``rows`` into ``features`` and ``labels`` from ``words``, which begin at the first row.
+
+        Stops at the first row whose integer draw Lemire's method would
+        reject. Returns the rows written and the words they used.
+        """
+
+        def u(i):
+            return _doubles(words[i])
+
+        window = inside[rows.start : rows.stop]
+        starts = self._row_starts(words, window)
+        s = starts[:-1] + window  # the salary word
+        salary = _uniform(u(s), 20_000.0, 150_000.0)
+        c = salary < 75_000.0
+        commission = np.where(c, _uniform(u(s + 1), 10_000.0, 75_000.0), 0.0)
+        q = s + c  # age is word q + 1
+        age = _uniform(u(q + 1), 20.0, 80.0)
+        elevel, r0 = _integers(words[q + 2] & np.uint64(0xFFFFFFFF), 0, 5)
+        car, r1 = _integers(words[q + 2] >> np.uint64(32), 1, 21)
+        zipcode, r2 = _integers(words[q + 3] & np.uint64(0xFFFFFFFF), 0, 9)
+        hyears, r3 = _integers(words[q + 3] >> np.uint64(32), 1, 31)
+        hvalue = (9.0 - zipcode) * 100_000.0 * _uniform(u(q + 4), 0.5, 1.5)
+        loan = _uniform(u(q + 5), 0.0, 500_000.0)
+        k = before[rows.start : rows.stop].copy()
+        drawn = np.flatnonzero(window)
+        incoming = [self.schedule.incoming(t, j) for t, j in zip((drawn + rows.start).tolist(), k[drawn].tolist())]
+        k[drawn] += u(starts[drawn]) < incoming
+        rules = np.array(self.concepts)[k]
+        block_labels = np.choose(rules, [rule(salary, commission, age, elevel) for rule in AGRAWAL_RULES])
+        if self.perturbation > 0.0:
+            salary = self._perturb(salary, u(q + 6), 20_000.0, 150_000.0)
+            commission = np.where(c, self._perturb(commission, u(q + 7), 10_000.0, 75_000.0), commission)
+            r = q + c  # age's jitter is word r + 7
+            age = self._perturb(age, u(r + 7), 20.0, 80.0)
+            hvalue = self._perturb(hvalue, u(r + 8), (9.0 - zipcode) * 50_000.0, (9.0 - zipcode) * 150_000.0)
+            hyears = self._perturb(hyears, u(r + 9), 1.0, 30.0)
+            loan = self._perturb(loan, u(r + 10), 0.0, 500_000.0)
+        rejected = np.flatnonzero(r0 | r1 | r2 | r3)
+        kept = int(rejected[0]) if len(rejected) else len(rows)
+        block = features[rows.start : rows.start + kept]
+        for j, column in enumerate((salary, commission, age, elevel, car, zipcode, hvalue, hyears, loan)):
+            block[:, j] = column[:kept]
+        labels[rows.start : rows.start + kept] = block_labels[:kept]
+        return kept, int(starts[kept])
+
+    def _draw_rows(self, features, labels, start, first_word):
+        """Rows ``start`` onwards, one at a time, from the generator whose next word is word ``first_word``.
+
+        The reference the block draw reproduces; ``arrays`` runs it only
+        from a row whose integer draw Lemire's method rejects.
+        """
+        rng = np.random.Generator(np.random.PCG64(self.seed).advance(first_word))
+        before, inside = self.schedule.phases(self.length)
+        for t, k, window in zip(range(start, self.length), before[start:].tolist(), inside[start:].tolist()):
             # a window step draws its concept first
             if window and rng.random() < self.schedule.incoming(t, k):
                 k += 1
-            salary = _uniform(rng, 20_000.0, 150_000.0)
-            commission = 0.0 if salary >= 75_000.0 else _uniform(rng, 10_000.0, 75_000.0)
-            age = _uniform(rng, 20.0, 80.0)
+            salary = _uniform(rng.random(), 20_000.0, 150_000.0)
+            commission = 0.0 if salary >= 75_000.0 else _uniform(rng.random(), 10_000.0, 75_000.0)
+            age = _uniform(rng.random(), 20.0, 80.0)
             elevel = int(rng.integers(0, 5))
             car = int(rng.integers(1, 21))
             zipcode = int(rng.integers(0, 9))
-            hvalue = (9.0 - zipcode) * 100_000.0 * _uniform(rng, 0.5, 1.5)
+            hvalue = (9.0 - zipcode) * 100_000.0 * _uniform(rng.random(), 0.5, 1.5)
             hyears = float(rng.integers(1, 31))
-            loan = _uniform(rng, 0.0, 500_000.0)
+            loan = _uniform(rng.random(), 0.0, 500_000.0)
             labels[t] = AGRAWAL_RULES[self.concepts[k]](salary, commission, age, elevel)
             if self.perturbation > 0.0:
-                salary = self._perturb(rng, salary, 20_000.0, 150_000.0)
+                salary = self._perturb(salary, rng.random(), 20_000.0, 150_000.0)
                 if commission > 0.0:
-                    commission = self._perturb(rng, commission, 10_000.0, 75_000.0)
-                age = self._perturb(rng, age, 20.0, 80.0)
+                    commission = self._perturb(commission, rng.random(), 10_000.0, 75_000.0)
+                age = self._perturb(age, rng.random(), 20.0, 80.0)
                 hval_lo = (9.0 - zipcode) * 50_000.0
                 hval_hi = (9.0 - zipcode) * 150_000.0
-                hvalue = self._perturb(rng, hvalue, hval_lo, hval_hi)
-                hyears = self._perturb(rng, hyears, 1.0, 30.0)
-                loan = self._perturb(rng, loan, 0.0, 500_000.0)
+                hvalue = self._perturb(hvalue, rng.random(), hval_lo, hval_hi)
+                hyears = self._perturb(hyears, rng.random(), 1.0, 30.0)
+                loan = self._perturb(loan, rng.random(), 0.0, 500_000.0)
             features[t] = salary, commission, age, elevel, car, zipcode, hvalue, hyears, loan
-        return features, labels
 
 
 GENERATORS = {"sea": SeaStream, "agrawal": AgrawalStream}

@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from driftscope import generators
 from driftscope.generators import (
     AGRAWAL_RULES,
     SEA_THRESHOLDS,
@@ -21,6 +23,31 @@ from driftscope.stream import buffer_stream
 def _labels_and_features(source):
     buf = buffer_stream(source)
     return buf.features, buf.labels
+
+
+def _digest(features, labels):
+    h = hashlib.sha256(features.tobytes())
+    h.update(labels.tobytes())
+    return h.hexdigest()
+
+
+class TestGeneratorSeed:
+    @pytest.mark.parametrize("kind", ["sea", "agrawal"])
+    @pytest.mark.parametrize("seed", [None, 1.5, "3"])
+    def test_rejects_a_seed_that_is_not_an_integer(self, kind, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            make_generator(kind, length=10, seed=seed)
+
+    @pytest.mark.parametrize("kind", ["sea", "agrawal"])
+    def test_rejects_a_negative_seed(self, kind):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            make_generator(kind, length=10, seed=-1)
+
+    @pytest.mark.parametrize("kind", ["sea", "agrawal"])
+    def test_takes_a_numpy_integer_seed(self, kind):
+        a = make_generator(kind, length=50, seed=np.int64(3)).arrays()
+        b = make_generator(kind, length=50, seed=3).arrays()
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestDriftSchedule:
@@ -244,6 +271,19 @@ class TestAgrawalStream:
         assert rule(0, 0, 50, 0) == 1
         assert rule(0, 0, 70, 4) == 0
 
+    def test_array_rules_match_scalar_calls(self):
+        age, salary, elevel = np.meshgrid(
+            [39.9, 40.0, 59.9, 60.0],
+            [s + d for s in (25_000.0, 50_000.0, 75_000.0, 100_000.0, 125_000.0) for d in (-0.01, 0.0, 0.01)],
+            np.arange(5),
+            indexing="ij",
+        )
+        age, salary, elevel = age.ravel(), salary.ravel(), elevel.ravel().astype(np.int64)
+        for rule in AGRAWAL_RULES:
+            labels = rule(salary, 0.0, age, elevel)
+            scalar = [int(rule(s, 0.0, a, e)) for s, a, e in zip(salary.tolist(), age.tolist(), elevel.tolist())]
+            assert labels.tolist() == scalar
+
     def test_labels_match_rule_without_perturbation(self):
         stream = AgrawalStream(length=2000, concepts=(0,), perturbation=0.0, seed=9)
         for item in stream:
@@ -290,6 +330,75 @@ class TestAgrawalStream:
         h = hashlib.sha256(features.tobytes())
         h.update(labels.tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "perturbation, digest",
+        [
+            (0.1, "992d5cb01089f5110a078e11e9797e9c305587033d758f85dd331fb4aa729a06"),
+            (0.0, "70712000b66b38facbbf4ed1b7c3f97967be25cbc37e75d12a5d5aed309c6d4b"),
+        ],
+    )
+    def test_window_across_a_block_edge_is_frozen(self, perturbation, digest):
+        # the window 1798..2298 spans the edge between the first two blocks of rows
+        assert 1798 < generators.AGRAWAL_BLOCK_ROWS < 2298
+        schedule = DriftSchedule(positions=(2048,), widths=(500,))
+        stream = AgrawalStream(4000, concepts=(2, 1), schedule=schedule, perturbation=perturbation, seed=5)
+        assert _digest(*stream.arrays()) == digest
+
+    # Seeds whose stream has an integer draw that Lemire's method rejects and redraws at the given row;
+    # the digests are those of the row-by-row generator.
+    REJECTIONS = [
+        (168294, 0.1, 326, "7f00cd9ee5bc7d9cabae735e1e6f639a2ce11c15251ce8db42c6ead3a431a766"),
+        (71298, 0.1, 1691, "c5f595d2acb98e37d1805ced0e9c56a2072e7fda81410fd4cf063359eb4bcf60"),
+        (124586, 0.0, 86, "934121c976fb8284a4a0f387e47f7f3f2c3cc0fd43eb3a71b9d8aca0ca36a501"),
+        (299356, 0.0, 1225, "19f942fd3d5003dc01c9b00f6891b7169257011cff57553727827f8b84dee78d"),
+    ]
+
+    @pytest.mark.parametrize("seed, perturbation, row, digest", REJECTIONS)
+    def test_rejected_integer_draw_is_frozen(self, seed, perturbation, row, digest):
+        assert _digest(*AgrawalStream(length=2000, seed=seed, perturbation=perturbation).arrays()) == digest
+
+    @pytest.mark.parametrize("seed, perturbation, row, digest", REJECTIONS)
+    def test_row_loop_takes_over_at_the_rejected_row(self, monkeypatch, seed, perturbation, row, digest):
+        starts = []
+        draw_rows = AgrawalStream._draw_rows
+
+        def spy(self, features, labels, start, first_word):
+            starts.append(start)
+            draw_rows(self, features, labels, start, first_word)
+
+        monkeypatch.setattr(AgrawalStream, "_draw_rows", spy)
+        monkeypatch.setattr(generators, "AGRAWAL_BLOCK_ROWS", 64)  # the rejected row lies past the first block
+        assert row >= 64
+        assert _digest(*AgrawalStream(length=2000, seed=seed, perturbation=perturbation).arrays()) == digest
+        assert starts == [row]
+
+    @pytest.mark.parametrize("perturbation", [0.1, 0.0])
+    @pytest.mark.parametrize("seed", [0, 3, 21])
+    def test_blocks_match_the_row_loop(self, monkeypatch, seed, perturbation):
+        monkeypatch.setattr(generators, "AGRAWAL_BLOCK_ROWS", 300)
+        schedule = DriftSchedule(positions=(400, 900, 1300), widths=(150, 0, 333))
+        stream = AgrawalStream(1700, concepts=(1, 0, 2, 1), schedule=schedule, perturbation=perturbation, seed=seed)
+        features, labels = stream.arrays()
+        rows_features = np.empty_like(features)
+        rows_labels = np.empty_like(labels)
+        stream._draw_rows(rows_features, rows_labels, 0, 0)
+        assert np.array_equal(features, rows_features)
+        assert np.array_equal(labels, rows_labels)
+        assert features.flags.c_contiguous and features.dtype == np.float64 and labels.dtype == np.int64
+
+    def test_build_memory_stays_near_the_output_size(self):
+        n = 20_000
+        schedule = DriftSchedule(positions=(n // 4, n // 2, 3 * n // 4), widths=(1000,) * 3)
+        stream = AgrawalStream(n, concepts=(0, 1, 2, 0), schedule=schedule, perturbation=0.1, seed=1001)
+        AgrawalStream(100, perturbation=0.1).arrays()  # modules numpy imports on first use are not the build's
+        tracemalloc.start()
+        try:
+            features, labels = stream.arrays()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= features.nbytes + labels.nbytes + 2 * 2**20
 
 
 class TestMakeGenerator:
