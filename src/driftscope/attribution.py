@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stream import as_integer
 from .tree import SCOPE_LOCAL, AdaptiveClusterTree, DriftAlert, distances
 
 REASON_INITIAL = "initial"
@@ -114,6 +115,9 @@ class AttributionTracker:
 
     def refresh(self, row: int, vec: AttributionVector, reason: str) -> None:
         """Store ``vec``, computed at step ``vec.t`` for ``reason``, as the row's phi."""
+        row = as_integer(row, "row")
+        if not 0 <= row < len(self.history):
+            raise ValueError(f"row must lie in [0, {len(self.history)}), got {row}")
         self._check_phi(vec)
         self.phis[row] = vec.phi
         self.history[row].append((reason, vec))

@@ -11,6 +11,7 @@ null`` removes the depth cap); an unset flag overrides nothing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -70,7 +71,9 @@ class DetectorConfig:
         model = self.model
         _require(model in MODEL_KINDS, "model", f"must be {' or '.join(map(repr, MODEL_KINDS))}, got {model!r}")
         lr = self.learning_rate
-        _require(_is_number(lr) and lr >= 0.0, "learning_rate", f"must be >= 0, got {lr!r}")
+        _require(
+            _is_number(lr) and math.isfinite(lr) and lr >= 0.0, "learning_rate", f"must be finite and >= 0, got {lr!r}"
+        )
         gamma = self.gamma
         _require(_is_number(gamma) and 0.0 < gamma < 1.0, "gamma", f"must lie in (0, 1), got {gamma!r}")
         alpha = self.alpha

@@ -132,7 +132,9 @@ def score_alerts(
     intervals: Sequence[float] = DEFAULT_INTERVALS,
     warmup: int = DEFAULT_WARMUP,
 ) -> dict:
-    """Score one alert set at every interval size; returns aggregates."""
+    """Score one alert set at every interval size (at least one); returns aggregates."""
+    if not intervals:
+        raise ValueError("need at least one detection interval")
     recalls, fdrs, combineds = [], [], []
     for fraction in intervals:
         recall, fdr = compute_recall_fdr(

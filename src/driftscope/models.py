@@ -34,8 +34,8 @@ class OnlineLogisticRegression:
     def __init__(self, n_features: int, learning_rate: float = 0.1):
         if n_features < 1:
             raise ValueError(f"n_features must be >= 1, got {n_features}")
-        if learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
+        if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
         self.n_features = n_features
         self.learning_rate = learning_rate
         self.weights = np.zeros(n_features, dtype=float)

@@ -8,9 +8,10 @@ observation, then predicts the observation and the baseline input in
 one call on the 2 x m array [x, baseline]. The model reads its own
 predictions, so the run's step sees only the predicted class of x and
 the detector's diff, never a raw prediction; training on the label
-follows the step. Feature vectors are scaled to the unit box first
-(declared generator ranges, or a min-max fit for buffered data) so that
-the tree's similarity threshold means the same thing on every stream.
+follows the step. Each stream's whole feature matrix is scaled into the
+unit box once, before the first step (by its declared ranges, or else
+its column min and max), and the engine steps its rows, so that the
+tree's similarity threshold means the same thing on every stream.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ A stream source hands over its data as whole arrays (``arrays()``: a
 ``length x n_features`` float matrix and int64 class labels) and
 declares its shape up front (feature count, class count, ground-truth
 drift positions when known); iterating it yields one observation per
-row. CSV files are parsed a column at a time into memory; synthetic
-generators declare their feature ranges so they can be scaled without a
-preliminary data pass.
+row. CSV files are parsed a column at a time into memory. ``scaled``
+scales a stream's whole feature matrix once, by its declared ranges or
+else its column min and max, then steps the stream's rows.
 """
 
 from __future__ import annotations
@@ -155,6 +155,7 @@ def read_csv(
     as floats. A column whose first value is non-numeric is treated as
     categorical and encoded by order of first appearance; the label
     column is always encoded that way, so labels come out as 0..C-1.
+    A header naming a column twice or no feature column is rejected.
     Ragged rows, missing fields, non-numeric values in a previously
     numeric column, and non-finite numbers (nan, inf) are rejected with
     the file's line and the column named, the first fault in reading
@@ -162,19 +163,23 @@ def read_csv(
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
+        reader = csv.reader(fh)
+        header = [name.strip() for name in next(filter(None, reader), ())]
+        header_line = reader.line_num
+        rows = [row for row in reader if row]
+    if not header:
         raise CsvParseError(f"{path}: file contains no data rows")
-
-    header = [name.strip() for name in rows.pop(0)]
     if not rows:
         raise CsvParseError(f"{path}: file contains a header but no data rows")
 
     n_cols = len(header)
-    try:
-        label_idx = header.index(label_column)
-    except ValueError:
-        raise CsvParseError(f"{path}: label column {label_column!r} not found in header {header}") from None
+    if label_column not in header:
+        raise CsvParseError(f"{path}: label column {label_column!r} not found in header {header}")
+    twice = [name for k, name in enumerate(header) if name in header[:k]]
+    if twice or n_cols == 1:
+        what = f"column {twice[0]!r} twice" if twice else f"no column besides the label {label_column!r}"
+        raise CsvParseError(f"{path}: row {header_line}: header names {what}")
+    label_idx = header.index(label_column)
     feature_idx = [i for i in range(n_cols) if i != label_idx]
 
     # Rows before the first ragged one are parsed a column at a time.
@@ -239,27 +244,21 @@ class Normalizer:
         span[span == 0.0] = 1.0  # constant features map to 0
         self._span = span
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.mins) / self._span
-
-    def normalize(self, obs: Observation) -> Observation:
-        return Observation(obs.t, self.transform(obs.x), obs.y)
+    def normalize(self, features: np.ndarray) -> np.ndarray:
+        """The ``n x m`` matrix ``features``, every column scaled in one step."""
+        return (np.asarray(features, dtype=float) - self.mins) / self._span
 
 
 def scaled(source: StreamSource) -> Iterator[Observation]:
     """Yield the stream's observations scaled into [0, 1] per feature.
 
-    Sources that declare their feature ranges (synthetic generators) are
-    scaled by those fixed ranges; anything else by the min and max of
-    its buffered features, so a ``BufferedStream`` is read only once.
+    One ``arrays()`` call buffers the source. Its feature matrix is scaled
+    once, by its declared ranges or else each column's min and max, and
+    each step of the buffered stream is handed over with its scaled row.
     """
     if not source.length:
         return
-    if source.feature_ranges:
-        lo, hi = zip(*source.feature_ranges)
-        norm = Normalizer(lo, hi)
-    else:
-        features = buffer_stream(source).features
-        norm = Normalizer(features.min(axis=0), features.max(axis=0))
-    for item in source:
-        yield norm.normalize(item)
+    buffered = buffer_stream(source)
+    ranges = buffered.feature_ranges or zip(buffered.features.min(axis=0), buffered.features.max(axis=0))
+    for item, row in zip(buffered, Normalizer(*zip(*ranges)).normalize(buffered.features)):
+        yield Observation(item.t, row, item.y)

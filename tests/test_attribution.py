@@ -350,6 +350,21 @@ class TestAttributionTracker:
         assert tracker.phis[row].tolist() == tracker.history[row][-1][1].phi.tolist() == [1.0, 2.0]
         assert len(tracker.history[row]) == 1
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [(-1, r"^row must lie in \[0, 2\), got -1$"), (2, r"^row must lie in \[0, 2\), got 2$"),
+         (1.0, r"^row must be an integer, got 1\.0$")],
+    )
+    def test_refresh_of_a_row_not_tracked_changes_no_row(self, row, message):
+        tracker, tree = _tracker(n_features=2)
+        tree.update(np.array([0.5, 0.5]), 0.0, 0)
+        for t, x in enumerate(([0.5, 0.5], [0.1, 0.9])):
+            tracker.track(np.array(x), AttributionVector(np.array([1.0, 2.0]) + t, 0.0, t))
+        with pytest.raises(ValueError, match=message):
+            tracker.refresh(row, AttributionVector(np.array([5.0, 6.0]), 0.0, 3), REASON_LOCAL_ALERT)
+        assert tracker.phis.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+        assert [len(history) for history in tracker.history] == [1, 1]
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_step_on_empty_tree_rejected(self, m):
         tracker, tree = _tracker(n_features=m)

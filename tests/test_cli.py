@@ -197,6 +197,20 @@ class TestMergeAndValidate:
         assert code == 2
         assert "config field 'seed'" in err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_learning_rate_is_rejected_by_name(self, tmp_path, capsys, value):
+        message = f"config field 'learning_rate': must be finite and >= 0, got {float(value)!r}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DetectorConfig(learning_rate=float(value))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_config(merge_config(None, {"learning_rate": float(value)}))
+        out = tmp_path / "det"
+        code, _, err = _run(["detect", "--kind", "sea", "--length", "500", f"--learning-rate={value}", "--out", str(out)],
+                            capsys)
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
     def test_model_message_lists_the_model_kinds(self):
         with pytest.raises(ValueError, match=r"must be 'logreg' or 'gnb', got 'svm'$"):
             DetectorConfig(model="svm")

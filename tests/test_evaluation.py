@@ -206,6 +206,10 @@ class TestScoreAlerts:
         assert scores["combined_std"] == 0.0
         assert scores["delays"] == (0, 0)
 
+    def test_rejects_empty_intervals(self):
+        with pytest.raises(ValueError, match="^need at least one detection interval$"):
+            score_alerts(_stream(), [1200], intervals=())
+
     def test_no_alerts_score_half(self):
         scores = score_alerts(_stream(), [], warmup=1000)
         assert scores["recall_mean"] == 0.0

@@ -93,6 +93,11 @@ class TestOnlineLogisticRegression:
         assert model.predict(np.array([100.0])) == 1.0
         assert model.predict(np.array([-100.0])) == pytest.approx(0.0, abs=1e-300)
 
+    @pytest.mark.parametrize("rate", [-0.1, np.inf, np.nan])
+    def test_rejects_learning_rate_that_is_negative_or_not_finite(self, rate):
+        with pytest.raises(ValueError, match=f"^learning_rate must be finite and >= 0, got {rate}$"):
+            OnlineLogisticRegression(2, learning_rate=rate)
+
     def test_rejects_non_binary_label(self):
         model = OnlineLogisticRegression(1)
         with pytest.raises(ValueError):

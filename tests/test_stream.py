@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from driftscope.generators import AgrawalStream
 from driftscope.stream import (
     BufferedStream,
     CsvParseError,
@@ -111,6 +112,25 @@ class TestReadCsv:
         with pytest.raises(CsvParseError, match="'target'"):
             read_csv(p, label_column="target")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a second label column would silently become a feature
+            ("a,label,label\n1,0,1\n", "row 1: header names column 'label' twice"),
+            # two features of one name
+            ("a,a,label\n1,2,0\n", "row 1: header names column 'a' twice"),
+            # names are compared after stripping, and the header's own line is named
+            ("\nb, a ,a,label\n1,2,3,0\n", "row 2: header names column 'a' twice"),
+            ("label\n0\n1\n", "row 1: header names no column besides the label 'label'"),
+        ],
+        ids=["label-twice", "feature-twice", "stripped-after-blank-line", "label-only"],
+    )
+    def test_header_without_distinct_feature_columns_rejected(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(CsvParseError) as err:
+            read_csv(path, label_column="label")
+        assert str(err.value) == f"{path}: {message}"
+
     def test_numeric_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(13)
         values = rng.uniform(-5, 5, size=(20, 3))
@@ -174,13 +194,14 @@ class TestBufferedStream:
 class TestNormalizer:
     def test_midpoint_maps_to_half(self):
         norm = Normalizer(np.array([2.0]), np.array([6.0]))
-        assert norm.transform(np.array([4.0]))[0] == pytest.approx(0.5)
+        out = norm.normalize(np.array([[2.0], [4.0], [6.0]]))
+        np.testing.assert_array_equal(out, [[0.0], [0.5], [1.0]])
 
     def test_constant_feature_maps_to_zero(self):
         norm = Normalizer(np.array([3.0, 0.0]), np.array([3.0, 1.0]))
-        out = norm.transform(np.array([3.0, 0.25]))
-        assert out[0] == 0.0
-        assert out[1] == pytest.approx(0.25)
+        out = norm.normalize(np.array([[3.0, 0.25], [3.0, 1.0]]))
+        np.testing.assert_array_equal(out[:, 0], 0.0)
+        np.testing.assert_array_equal(out[:, 1], [0.25, 1.0])
 
     def test_fit_then_transform_lands_in_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -192,13 +213,6 @@ class TestNormalizer:
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
         np.testing.assert_array_equal(out.min(axis=0), 0.0)
         np.testing.assert_array_equal(out.max(axis=0), 1.0)
-
-    def test_normalize_preserves_time_step(self):
-        norm = Normalizer(np.zeros(2), np.full(2, 2.0))
-        obs = norm.normalize(Observation(7, np.array([0.5, 1.0]), 1))
-        assert obs.t == 7
-        assert obs.y == 1
-        np.testing.assert_allclose(obs.x, [0.25, 0.5])
 
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
@@ -234,3 +248,55 @@ class TestScaled:
         out = list(scaled(stream))
         assert out[0].x[0] == pytest.approx(0.0)
         assert out[1].x[0] == pytest.approx(1.0)
+
+    def test_keeps_each_items_time_step_and_label(self):
+        class ShiftedStream(BufferedStream):
+            def __iter__(self):
+                for item in super().__iter__():
+                    yield Observation(item.t + 7, item.x, item.y)
+
+        stream = ShiftedStream(
+            features=np.array([[0.5, 1.0], [2.0, 0.0]]),
+            labels=np.array([1, 0], dtype=np.int64),
+            feature_ranges=((0.0, 2.0), (0.0, 2.0)),
+        )
+        out = list(scaled(stream))
+        assert [(obs.t, obs.y) for obs in out] == [(7, 1), (8, 0)]
+        np.testing.assert_array_equal(out[0].x, [0.25, 0.5])
+
+    @pytest.mark.parametrize("kind", ["declared-range agrawal", "range-free csv-style"])
+    def test_rows_match_per_row_scaling_bit_for_bit(self, tmp_path, kind):
+        if kind == "declared-range agrawal":
+            stream = buffer_stream(AgrawalStream(length=2000, perturbation=0.1, seed=3))
+            mins, maxs = (np.array(bounds) for bounds in zip(*stream.feature_ranges))
+        else:
+            rng = np.random.default_rng(4)
+            rows = [f"{a!r},{b!r},7.0,{int(a > 50.0)}" for a, b in rng.normal(50.0, 20.0, size=(500, 2)).tolist()]
+            # the third column is constant
+            stream = read_csv(_write(tmp_path, "\n".join(["a,b,c,y", *rows]) + "\n"), label_column="y")
+            mins, maxs = stream.features.min(axis=0), stream.features.max(axis=0)
+        span = maxs - mins
+        span[span == 0.0] = 1.0
+        out = list(scaled(stream))
+        assert len(out) == stream.length
+        for t, obs in enumerate(out):
+            # the per-row scaling the stream used to get, one observation at a time
+            expected = (np.asarray(stream.features[t], dtype=float) - mins) / span
+            assert obs.t == t and obs.y == stream.labels[t]
+            assert obs.x.tobytes() == expected.tobytes()
+
+    def test_pulls_one_hand_over_per_item_it_yields(self):
+        pulled = []
+
+        class CountingStream(BufferedStream):
+            def __iter__(self):
+                for item in super().__iter__():
+                    pulled.append(item.t)
+                    yield item
+
+        stream = CountingStream(features=np.arange(10.0).reshape(5, 2), labels=np.zeros(5, dtype=np.int64))
+        items = scaled(stream)
+        for t in range(5):
+            assert next(items).t == t
+            assert pulled == list(range(t + 1))
+        assert list(items) == [] and pulled == list(range(5))
