@@ -21,7 +21,7 @@ from .evaluation import run_benchmark
 from .generators import GENERATORS, DriftSchedule, make_generator
 from .injection import MI_BINS, permute_inject
 from .pipeline import TRACKING_POLICIES, cdleeds_runner, ddm_runner, run_detection, run_tracking
-from .stream import StreamSource, buffer_stream, read_csv
+from .stream import StreamSource, buffer_stream, drift_steps, read_csv
 
 DETECTOR_RUNNERS = {"cdleeds": cdleeds_runner, "ddm": ddm_runner}
 
@@ -116,12 +116,12 @@ def _read_stream(path, cfg, require_sidecar: bool = False) -> StreamSource:
         except json.JSONDecodeError as err:
             raise ValueError(f"drift sidecar {sidecar}: not valid JSON ({err})") from None
         positions = meta.get("positions") if isinstance(meta, dict) else None
-        valid_steps = isinstance(positions, list) and all(type(p) is int and 0 < p < stream.length for p in positions)
-        if not (valid_steps and positions == sorted(set(positions))):
+        try:  # anything but a JSON list fails as a step that is no integer
+            stream.drift_positions = drift_steps(positions if isinstance(positions, list) else (None,), stream.length)
+        except ValueError:
             raise ValueError(
                 f"drift sidecar {sidecar}: 'positions' must be strictly increasing integers in [1, {stream.length})"
-            )
-        stream.drift_positions = tuple(positions)
+            ) from None
     return stream
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stream import StreamSource, as_integer
+from .stream import StreamSource, as_integer, drift_steps
 
 SEA_THRESHOLDS = (8.0, 9.0, 7.0, 9.5)
 
@@ -55,18 +55,14 @@ class DriftSchedule:
     widths: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        positions = tuple(as_integer(p, "drift position") for p in self.positions)
+        positions = drift_steps(self.positions, math.inf)
         widths = tuple(as_integer(w, "drift width") for w in self.widths) if self.widths else (0,) * len(positions)
         if len(widths) != len(positions):
             raise ValueError(
                 f"schedule has {len(positions)} positions but {len(widths)} widths"
             )
-        if any(p <= 0 for p in positions):
-            raise ValueError(f"drift positions must be positive, got {positions}")
         if any(w < 0 for w in widths):
             raise ValueError(f"drift widths must be >= 0, got {widths}")
-        if list(positions) != sorted(set(positions)):
-            raise ValueError(f"drift positions must be strictly increasing, got {positions}")
         for (p1, w1), (p2, w2) in zip(zip(positions, widths), zip(positions[1:], widths[1:])):
             if p1 + w1 / 2.0 >= p2 - w2 / 2.0:
                 raise ValueError(
@@ -74,12 +70,6 @@ class DriftSchedule:
                 )
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "widths", widths)
-
-    def validate_for_length(self, length: int) -> None:
-        if self.positions and self.positions[-1] >= length:
-            raise ValueError(
-                f"drift position {self.positions[-1]} is beyond the stream length {length}"
-            )
 
     def phases(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Per step: how many transition windows lie wholly before it, and whether it lies inside one.
@@ -136,7 +126,7 @@ class _GeneratorBase(StreamSource):
             raise ValueError(f"perturbation must lie in [0, 1), got {perturbation}")
         self.perturbation = perturbation
         self.schedule = schedule or DriftSchedule()
-        self.schedule.validate_for_length(length)
+        self.drift_positions = drift_steps(self.schedule.positions, length)
         self.concepts = tuple(as_integer(c, "concept") for c in concepts)
         if len(self.concepts) != len(self.schedule.positions) + 1:
             raise ValueError(
@@ -150,7 +140,6 @@ class _GeneratorBase(StreamSource):
             raise ValueError(f"seed must be >= 0, got {seed}")
         self.length = length
         self.seed = seed
-        self.drift_positions = self.schedule.positions
 
 
 class SeaStream(_GeneratorBase):

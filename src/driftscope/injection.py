@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .stream import BufferedStream, as_integer
+from .stream import BufferedStream, drift_steps
 
 MI_BINS = 10
 MIN_MI_SAMPLE = 100
@@ -96,17 +96,10 @@ def permute_inject(
     every per-feature value multiset from any drift position onward is
     exactly preserved.
     """
-    positions = tuple(as_integer(p, "injection position") for p in positions)
+    # the first position is at least 1: the rows before it rank the features
+    positions = drift_steps(positions, stream.length, what="injection position")
     if not positions:
         raise ValueError("need at least one injection position")
-    if list(positions) != sorted(set(positions)):
-        raise ValueError(f"injection positions must be strictly increasing, got {positions}")
-    if positions[0] < 1:
-        raise ValueError(f"injection position {positions[0]} must be at least 1: the rows before it rank the features")
-    if positions[-1] >= stream.length:
-        raise ValueError(
-            f"injection position {positions[-1]} is beyond the stream length {stream.length}"
-        )
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction}")
 

@@ -26,7 +26,7 @@ from .baseline import EwmaBaseline
 from .config import DetectorConfig
 from .evaluation import DetectorRunner, DdmDetector
 from .models import GaussianNaiveBayes, OnlineLogisticRegression
-from .stream import StreamSource, scaled
+from .stream import StreamSource, as_integer, scaled
 from .tree import SCOPE_GLOBAL, AdaptiveClusterTree, DriftAlert
 
 TRACKING_POLICIES = ("cdleeds", "never")
@@ -177,8 +177,13 @@ def run_tracking(
         raise ValueError(f"attribution tracking needs the linear model 'logreg', got {config.model!r}")
     if policy not in TRACKING_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {TRACKING_POLICIES}")
+    sample_size = as_integer(sample_size, "sample_size")
+    sample_prefix = as_integer(sample_prefix, "sample_prefix")
+    seed = as_integer(seed, "seed")
     if sample_size < 0:
         raise ValueError(f"sample_size must be >= 0, got {sample_size}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     prefix_end = min(sample_prefix, stream.length)
     if sample_size >= prefix_end:
         raise ValueError(
@@ -188,9 +193,7 @@ def run_tracking(
     clf = detector.clf
     tracker = AttributionTracker(detector.tree)
     rng = np.random.default_rng(seed)
-    pin_steps = set()
-    if sample_size:
-        pin_steps = {int(v) + 1 for v in rng.choice(prefix_end - 1, size=sample_size, replace=False)}
+    pin_steps = {int(v) + 1 for v in rng.choice(prefix_end - 1, size=sample_size, replace=False)}
     dev_sum = 0.0
     dev_count = 0
     oracle_min = np.inf
@@ -225,8 +228,8 @@ def run_tracking(
         reduction_pct = 100.0 * float(np.mean(reductions))
     else:
         reduction_pct = None
-    mean_abs_deviation = dev_sum / dev_count if oracle and dev_count else None
-    oracle_range = float(oracle_max - oracle_min) if oracle and dev_count else None
+    mean_abs_deviation = dev_sum / dev_count if dev_count else None
+    oracle_range = float(oracle_max - oracle_min) if dev_count else None
     deviation_pct_of_range = (
         100.0 * mean_abs_deviation / oracle_range if oracle_range else None
     )

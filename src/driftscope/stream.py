@@ -3,10 +3,10 @@
 A stream source hands over its data as whole arrays (``arrays()``: a
 ``length x n_features`` float matrix and int64 class labels) and
 declares its shape up front (feature count, class count, ground-truth
-drift positions when known); iterating it yields one observation per
-row. CSV files are parsed a column at a time into memory. ``scaled``
-scales a stream's whole feature matrix once, by its declared ranges or
-else its column min and max, then steps the stream's rows.
+drift positions when known, checked by ``drift_steps``); iterating it
+yields one observation per row. A CSV file is read once and parsed a
+column at a time. ``scaled`` scales the whole feature matrix once, by
+its declared ranges or else its column min and max, then steps rows.
 """
 
 from __future__ import annotations
@@ -64,11 +64,19 @@ class StreamSource:
 
 
 def as_integer(value, what: str) -> int:
-    """``value`` through ``operator.index``: an int or numpy integer passes, anything else is named."""
+    """``value`` through ``operator.index``: an int or numpy integer passes, anything else (a bool too) is named."""
     try:
-        return operator.index(value)
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def drift_steps(positions, length, what: str = "drift position") -> tuple[int, ...]:
+    """``positions`` as integer steps, strictly increasing and each in ``[1, length)``; ``what`` names them."""
+    steps = tuple(as_integer(p, what) for p in positions)
+    if steps and any(a >= b for a, b in zip((0, *steps), (*steps, length))):
+        raise ValueError(f"{what}s must be strictly increasing steps in [1, {length}), got {steps}")
+    return steps
 
 
 @dataclass
@@ -93,6 +101,7 @@ class BufferedStream(StreamSource):
         self.length = int(self.features.shape[0])
         self.n_features = int(self.features.shape[1])
         self.n_classes = int(self.labels.max()) + 1 if self.length else 0
+        self.drift_positions = drift_steps(self.drift_positions, self.length)
         for what, given in (("feature_names", self.feature_names), ("feature_ranges", self.feature_ranges)):
             if given and len(given) != self.n_features:
                 raise ValueError(f"{len(given)} {what} given for {self.n_features} features")
@@ -160,13 +169,15 @@ def read_csv(
     numeric column, and non-finite numbers (nan, inf) are rejected with
     the file's line and the column named, the first fault in reading
     order: row by row; in a row the field count, features, then label.
+    The file is read once, so a pipe serves as well as a regular file.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = [name.strip() for name in next(filter(None, reader), ())]
-        header_line = reader.line_num
-        rows = [row for row in reader if row]
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    header = [name.strip() for name in next(filter(None, reader), ())]
+    header_line = reader.line_num
+    rows = [row for row in reader if row]
     if not header:
         raise CsvParseError(f"{path}: file contains no data rows")
     if not rows:
@@ -202,11 +213,10 @@ def read_csv(
         else:
             features[:, k] = values
     if faults:
-        r, _, text = min(faults)
-        with path.open(newline="") as fh:  # a row is named by the line it ends on; blank lines count
-            reader = csv.reader(fh)
-            line = [reader.line_num for row in reader if row][r + 1]
-        raise CsvParseError(f"{path}: row {line}{text}")
+        r, _, message = min(faults)
+        reader = csv.reader(lines)  # a row is named by the line it ends on; blank lines count
+        line = [reader.line_num for row in reader if row][r + 1]
+        raise CsvParseError(f"{path}: row {line}{message}")
     return BufferedStream(
         features=features,
         labels=labels,

@@ -353,7 +353,7 @@ class TestAttributionTracker:
     @pytest.mark.parametrize(
         "row, message",
         [(-1, r"^row must lie in \[0, 2\), got -1$"), (2, r"^row must lie in \[0, 2\), got 2$"),
-         (1.0, r"^row must be an integer, got 1\.0$")],
+         (1.0, r"^row must be an integer, got 1\.0$"), (True, r"^row must be an integer, got True$")],
     )
     def test_refresh_of_a_row_not_tracked_changes_no_row(self, row, message):
         tracker, tree = _tracker(n_features=2)

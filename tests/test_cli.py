@@ -462,7 +462,8 @@ class TestInjectDrift:
             capsys,
         )
         assert code == 2
-        assert "inject-drift: error: injection position -5 must be at least 1" in err
+        message = "injection positions must be strictly increasing steps in [1, 300), got (-5,)"
+        assert f"inject-drift: error: {message}" in err
 
     def test_requires_input(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -33,7 +33,7 @@ def _digest(features, labels):
 
 class TestGeneratorSeed:
     @pytest.mark.parametrize("kind", ["sea", "agrawal"])
-    @pytest.mark.parametrize("seed", [None, 1.5, "3"])
+    @pytest.mark.parametrize("seed", [None, 1.5, "3", True])
     def test_rejects_a_seed_that_is_not_an_integer(self, kind, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             make_generator(kind, length=10, seed=seed)
@@ -69,7 +69,8 @@ class TestDriftSchedule:
             DriftSchedule(positions=(100, 100))
 
     def test_rejects_nonpositive_position(self):
-        with pytest.raises(ValueError, match="positive"):
+        message = r"drift positions must be strictly increasing steps in \[1, inf\), got \(0,\)"
+        with pytest.raises(ValueError, match=message):
             DriftSchedule(positions=(0,))
 
     def test_rejects_negative_width(self):
@@ -88,16 +89,17 @@ class TestDriftSchedule:
         DriftSchedule(positions=(100, 200), widths=(40, 40))
 
     def test_rejects_position_beyond_stream(self):
-        with pytest.raises(ValueError, match="beyond"):
-            DriftSchedule(positions=(500,)).validate_for_length(500)
+        with pytest.raises(ValueError, match=r"drift positions must be .* in \[1, 500\), got \(500,\)"):
+            SeaStream(length=500, concepts=(0, 1), schedule=DriftSchedule(positions=(500,)))
 
     @pytest.mark.parametrize(
         "positions, widths, message",
         [
             ((100.7, 200.2), (), "drift position must be an integer, got 100.7"),
+            ((True,), (), "drift position must be an integer, got True"),
             ((100, 200), (10, 20.5), "drift width must be an integer, got 20.5"),
         ],
-        ids=["positions", "widths"],
+        ids=["positions", "bool-position", "widths"],
     )
     def test_rejects_fractional_steps_and_accepts_numpy_integers(self, positions, widths, message):
         with pytest.raises(ValueError, match=message):
@@ -212,9 +214,10 @@ class TestSeaStream:
         "kwargs, message",
         [
             ({"length": 300.0}, "stream length must be an integer, got 300.0"),
+            ({"length": True}, "stream length must be an integer, got True"),
             ({"length": 300, "concepts": (0.5,)}, "concept must be an integer, got 0.5"),
         ],
-        ids=["length", "concepts"],
+        ids=["length", "bool-length", "concepts"],
     )
     def test_rejects_fractional_length_and_concepts(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -198,7 +198,7 @@ class TestPermuteInject:
             permute_inject(self._stream(), (500,), top_fraction=0.0)
 
     def test_rejects_position_beyond_length(self):
-        with pytest.raises(ValueError, match="beyond"):
+        with pytest.raises(ValueError, match=r"injection positions must be .* in \[1, 300\), got \(300,\)"):
             permute_inject(self._stream(n=300, seed=1), (300,))
 
     def test_rejects_unsorted_positions(self):
@@ -207,7 +207,8 @@ class TestPermuteInject:
 
     @pytest.mark.parametrize("position", [0, -5])
     def test_rejects_position_before_row_one(self, position):
-        with pytest.raises(ValueError, match=f"injection position {position} must be at least 1"):
+        message = rf"injection positions must be .* in \[1, 2000\), got \({position}, 900\)"
+        with pytest.raises(ValueError, match=message):
             permute_inject(self._stream(), (position, 900))
 
     def test_rejects_empty_positions(self):

@@ -210,6 +210,27 @@ class TestRunTracking:
         with pytest.raises(ValueError, match="sample_size"):
             run_tracking(_sea(300), sample_size=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sample_size": 2.5}, "sample_size must be an integer, got 2.5"),
+            ({"sample_size": True}, "sample_size must be an integer, got True"),
+            ({"sample_prefix": 100.5}, "sample_prefix must be an integer, got 100.5"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+        ],
+        ids=["fractional-size", "bool-size", "fractional-prefix", "fractional-seed", "negative-seed"],
+    )
+    def test_size_prefix_and_seed_are_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_tracking(_sea(300), **{"sample_size": 4, "sample_prefix": 100, **kwargs})
+
+    def test_numpy_integer_size_prefix_and_seed_are_read_as_ints(self):
+        stream = _sea(300, seed=1)
+        plain = run_tracking(stream, sample_size=4, sample_prefix=100, seed=2)
+        numpy = run_tracking(stream, sample_size=np.int64(4), sample_prefix=np.int64(100), seed=np.int64(2))
+        assert numpy.trace == plain.trace and type(numpy.sample_size) is int
+
     def test_sample_size_must_fit_prefix(self):
         with pytest.raises(ValueError, match="prefix"):
             run_tracking(_sea(300), sample_size=300, sample_prefix=300)

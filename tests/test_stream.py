@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from driftscope.stream import (
     Normalizer,
     Observation,
     buffer_stream,
+    drift_steps,
     read_csv,
     scaled,
 )
@@ -102,6 +106,42 @@ class TestReadCsv:
             read_csv(path, label_column="y")
         assert str(err.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "file contains no data rows"),
+            ("\n\n\n", "file contains no data rows"),
+            ("a,label\n", "file contains a header but no data rows"),
+            ("\na,label\n\n\n", "file contains a header but no data rows"),
+        ],
+        ids=["empty", "blank-lines-only", "header-only", "header-among-blank-lines"],
+    )
+    def test_input_without_data_rows_rejected(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(CsvParseError) as err:
+            read_csv(path, label_column="label")
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe by path")
+    def test_fault_in_a_piped_file_names_its_line(self):
+        r, w = os.pipe()
+        try:
+            with os.fdopen(w, "w") as fh:  # a few bytes fit the pipe's buffer, so this write does not block
+                fh.write("a,b,label\n1,2,0\n3,x,1\n")
+            path = f"/dev/fd/{r}"
+            with pytest.raises(CsvParseError) as err:
+                read_csv(path, label_column="label")
+        finally:
+            os.close(r)
+        assert str(err.value) == f"{path}: row 3, column 'b': non-numeric value 'x' in a numeric column"
+
+    def test_drift_position_beyond_the_rows_rejected(self, tmp_path):
+        p = _write(tmp_path, "a,label\n1,0\n2,1\n3,0\n")
+        message = "drift positions must be strictly increasing steps in [1, 3), got (5000,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_csv(p, label_column="label", drift_positions=(5000,))
+        assert read_csv(p, label_column="label", drift_positions=(2,)).drift_positions == (2,)
+
     def test_missing_field_rejected(self, tmp_path):
         p = _write(tmp_path, "a,b\n1.5,0\n,1\n")
         with pytest.raises(CsvParseError, match="empty"):
@@ -184,11 +224,36 @@ class TestBufferedStream:
                 features=np.ones((2, 3)), labels=np.zeros(2, dtype=np.int64), feature_ranges=((0.0, 10.0),)
             )
 
+    @pytest.mark.parametrize(
+        "positions, message",
+        [
+            ((5000,), "drift positions must be strictly increasing steps in [1, 1200), got (5000,)"),
+            ((900, 300), "drift positions must be strictly increasing steps in [1, 1200), got (900, 300)"),
+            ((0,), "drift positions must be strictly increasing steps in [1, 1200), got (0,)"),
+            ((True,), "drift position must be an integer, got True"),
+        ],
+        ids=["beyond-length", "decreasing", "zero", "bool"],
+    )
+    def test_rejects_drift_positions_that_are_not_steps_of_the_stream(self, positions, message):
+        with pytest.raises(ValueError) as err:
+            BufferedStream(
+                features=np.ones((1200, 2)), labels=np.zeros(1200, dtype=np.int64), drift_positions=positions
+            )
+        assert str(err.value) == message
+
     def test_buffer_stream_round_trip(self):
         base = BufferedStream(
             features=np.ones((3, 2)), labels=np.array([0, 1, 0], dtype=np.int64), drift_positions=(2,)
         )
         assert buffer_stream(base) is base
+
+
+class TestDriftSteps:
+    @pytest.mark.parametrize("positions", [(0,), (10,), (3, 3), (5, 2), (-1, 4)])
+    def test_rejects_steps_out_of_order_or_range_naming_what_they_are(self, positions):
+        message = f"injection positions must be strictly increasing steps in [1, 10), got {positions}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            drift_steps(positions, 10, what="injection position")
 
 
 class TestNormalizer:

@@ -165,7 +165,7 @@ class TestTreeGrowth:
         with pytest.raises(ValueError, match="strictly increasing"):
             tree.update(np.array([0.5]), 0.0, 3)
 
-    @pytest.mark.parametrize("t", [1.5, 2.0])
+    @pytest.mark.parametrize("t", [1.5, 2.0, True])
     def test_update_rejects_non_integer_step(self, t):
         tree = _tree()
         with pytest.raises(ValueError, match=f"time step must be an integer, got {t}"):
