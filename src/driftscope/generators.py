@@ -11,10 +11,14 @@ draws only doubles, so one ``rng.random(n)`` call draws it all. Agrawal
 mixes doubles with ``rng.integers`` draws, which take 32-bit halves of
 the raw words, and a row's word count depends on its salary draw. It is
 built in blocks of rows: one ``random_raw`` call draws a block's words,
-one pass over the integers finds each row's first word, and whole-array
-arithmetic turns the words into the very values the row loop would
-draw. From the first row where Lemire's method would reject an integer
-draw and redraw, the row loop draws the rest.
+which become one array of doubles; one pass through a byte table of row
+lengths finds each row's first word, and gathers and whole-array
+arithmetic turn the words into the very values the row loop would draw.
+From the first row where Lemire's method would reject an integer draw
+and redraw, the row loop draws the rest. Window rows get their concept
+probabilities as one vector per stream or block: ``transition_probability``
+takes arrays and maps ``math.exp`` over them, so every value keeps the
+bits of a scalar call.
 """
 
 from __future__ import annotations
@@ -82,22 +86,25 @@ class DriftSchedule:
         starts = np.append(np.array(self.positions) - half, np.inf)
         return before, t >= starts[before]
 
-    def incoming(self, t: int, k: int) -> float:
-        """Probability that step t, inside window k, draws the concept that window brings in."""
-        return transition_probability(t, self.positions[k], self.widths[k])
+    def incoming(self, t, k):
+        """Probability that step t, inside window k, draws the concept that window brings in; t and k may be arrays."""
+        return transition_probability(t, np.array(self.positions)[k], np.array(self.widths)[k])
 
 
-def transition_probability(t: int, position: int, width: int) -> float:
+def transition_probability(t, position, width):
     """Probability of drawing from the incoming concept near a drift.
 
     Follows the sigmoid 1 / (1 + exp(-4 (t - position) / width)); at the
     position itself the two concepts are equally likely. Width 0 is a
-    hard switch at the position.
+    hard switch at the position. Arrays of matching shape give an array,
+    scalars a float; ``math.exp`` of each element keeps a scalar call's bits.
     """
-    if width <= 0:
-        return 1.0 if t >= position else 0.0
-    z = -4.0 * (t - position) / width
-    return 1.0 / (1.0 + math.exp(min(z, 700.0)))
+    t, position, width = np.broadcast_arrays(t, position, width)
+    switch = width <= 0
+    z = np.minimum(-4.0 * (t - position) / np.where(switch, 1, width), 700.0)
+    e = np.fromiter(map(math.exp, z.ravel().tolist()), float, z.size).reshape(z.shape)
+    p = np.where(switch, t >= position, 1.0 / (1.0 + e))
+    return p if p.ndim else float(p)
 
 
 def _uniform(u, lo, hi):
@@ -164,8 +171,8 @@ class SeaStream(_GeneratorBase):
         u = np.random.default_rng(self.seed).random(int(first[-1]) + 4)
         features = 0.0 + 10.0 * u[first[:, None] + np.arange(3)]  # rng.uniform(0.0, 10.0)'s arithmetic
         rows = np.flatnonzero(inside)
-        incoming = [self.schedule.incoming(t, k) for t, k in zip(rows.tolist(), concept[rows].tolist())]
-        concept[rows] += u[first[rows] - 1] < incoming  # the windows wholly before, plus the draw
+        # the windows wholly before, plus the draw
+        concept[rows] += u[first[rows] - 1] < self.schedule.incoming(rows, concept[rows])
         thresholds = np.array(SEA_THRESHOLDS)[np.array(self.concepts)[concept]]
         labels = (features[:, 0] + features[:, 1] <= thresholds) ^ (u[first + 3] < self.perturbation)
         return features, labels.astype(np.int64)
@@ -190,8 +197,8 @@ def _agrawal_rule_1(salary, commission, age, elevel):
 def _agrawal_rule_2(salary, commission, age, elevel):
     group_a = np.where(
         age < 40,
-        np.isin(elevel, (0, 1)),
-        np.where(age < 60, np.isin(elevel, (1, 2, 3)), np.isin(elevel, (2, 3, 4))),
+        elevel <= 1,
+        np.where(age < 60, (1 <= elevel) & (elevel <= 3), elevel >= 2),
     )
     return np.where(group_a, 0, 1)
 
@@ -281,17 +288,24 @@ class AgrawalStream(_GeneratorBase):
         """Raw words of a row outside a window that draws no commission, and the words a commission adds."""
         return (11, 2) if self.perturbation > 0.0 else (6, 1)
 
-    def _row_starts(self, words: np.ndarray, window: np.ndarray) -> np.ndarray:
-        """Each row's first word in ``words``, then the word after the last row; ``window`` marks window rows."""
+    def _row_starts(self, u: np.ndarray, window: np.ndarray) -> np.ndarray:
+        """Each row's first word, then the word after the last row; ``u`` holds the words' doubles.
+
+        ``window`` marks window rows. A row from word p takes ``table[p]``
+        words, from the table of rows outside a window (salary at word p)
+        or inside one (salary at word p + 1).
+        """
         base, extra = self._row_words
-        commissioned = (_uniform(_doubles(words), 20_000.0, 150_000.0) < 75_000.0).tobytes()
-        starts = []
-        p = 0
-        for w in window.tolist():
-            starts.append(p)
-            p += base + w + extra * commissioned[p + w]  # the salary is word p + w
-        starts.append(p)
-        return np.array(starts)
+        added = (_uniform(u, 20_000.0, 150_000.0) < 75_000.0).astype(np.uint8) * extra  # a commission's words
+        tables = ((base + added).tobytes(), (base + 1 + added[1:]).tobytes())
+
+        def starts(p=0):
+            yield p
+            for w in window.tolist():
+                p += tables[w][p]
+                yield p
+
+        return np.fromiter(starts(), np.int64, len(window) + 1)
 
     def _draw_block(self, words, rows, before, inside, features, labels) -> tuple[int, int]:
         """Draw rows ``rows`` into ``features`` and ``labels`` from ``words``, which begin at the first row.
@@ -299,38 +313,34 @@ class AgrawalStream(_GeneratorBase):
         Stops at the first row whose integer draw Lemire's method would
         reject. Returns the rows written and the words they used.
         """
-
-        def u(i):
-            return _doubles(words[i])
-
+        u = _doubles(words)
         window = inside[rows.start : rows.stop]
-        starts = self._row_starts(words, window)
+        starts = self._row_starts(u, window)
         s = starts[:-1] + window  # the salary word
-        salary = _uniform(u(s), 20_000.0, 150_000.0)
+        salary = _uniform(u[s], 20_000.0, 150_000.0)
         c = salary < 75_000.0
-        commission = np.where(c, _uniform(u(s + 1), 10_000.0, 75_000.0), 0.0)
+        commission = np.where(c, _uniform(u[s + 1], 10_000.0, 75_000.0), 0.0)
         q = s + c  # age is word q + 1
-        age = _uniform(u(q + 1), 20.0, 80.0)
+        age = _uniform(u[q + 1], 20.0, 80.0)
         elevel, r0 = _integers(words[q + 2] & np.uint64(0xFFFFFFFF), 0, 5)
         car, r1 = _integers(words[q + 2] >> np.uint64(32), 1, 21)
         zipcode, r2 = _integers(words[q + 3] & np.uint64(0xFFFFFFFF), 0, 9)
         hyears, r3 = _integers(words[q + 3] >> np.uint64(32), 1, 31)
-        hvalue = (9.0 - zipcode) * 100_000.0 * _uniform(u(q + 4), 0.5, 1.5)
-        loan = _uniform(u(q + 5), 0.0, 500_000.0)
+        hvalue = (9.0 - zipcode) * 100_000.0 * _uniform(u[q + 4], 0.5, 1.5)
+        loan = _uniform(u[q + 5], 0.0, 500_000.0)
         k = before[rows.start : rows.stop].copy()
         drawn = np.flatnonzero(window)
-        incoming = [self.schedule.incoming(t, j) for t, j in zip((drawn + rows.start).tolist(), k[drawn].tolist())]
-        k[drawn] += u(starts[drawn]) < incoming
+        k[drawn] += u[starts[drawn]] < self.schedule.incoming(drawn + rows.start, k[drawn])
         rules = np.array(self.concepts)[k]
         block_labels = np.choose(rules, [rule(salary, commission, age, elevel) for rule in AGRAWAL_RULES])
         if self.perturbation > 0.0:
-            salary = self._perturb(salary, u(q + 6), 20_000.0, 150_000.0)
-            commission = np.where(c, self._perturb(commission, u(q + 7), 10_000.0, 75_000.0), commission)
+            salary = self._perturb(salary, u[q + 6], 20_000.0, 150_000.0)
+            commission = np.where(c, self._perturb(commission, u[q + 7], 10_000.0, 75_000.0), commission)
             r = q + c  # age's jitter is word r + 7
-            age = self._perturb(age, u(r + 7), 20.0, 80.0)
-            hvalue = self._perturb(hvalue, u(r + 8), (9.0 - zipcode) * 50_000.0, (9.0 - zipcode) * 150_000.0)
-            hyears = self._perturb(hyears, u(r + 9), 1.0, 30.0)
-            loan = self._perturb(loan, u(r + 10), 0.0, 500_000.0)
+            age = self._perturb(age, u[r + 7], 20.0, 80.0)
+            hvalue = self._perturb(hvalue, u[r + 8], (9.0 - zipcode) * 50_000.0, (9.0 - zipcode) * 150_000.0)
+            hyears = self._perturb(hyears, u[r + 9], 1.0, 30.0)
+            loan = self._perturb(loan, u[r + 10], 0.0, 500_000.0)
         rejected = np.flatnonzero(r0 | r1 | r2 | r3)
         kept = int(rejected[0]) if len(rejected) else len(rows)
         block = features[rows.start : rows.start + kept]
@@ -347,9 +357,11 @@ class AgrawalStream(_GeneratorBase):
         """
         rng = np.random.Generator(np.random.PCG64(self.seed).advance(first_word))
         before, inside = self.schedule.phases(self.length)
-        for t, k, window in zip(range(start, self.length), before[start:].tolist(), inside[start:].tolist()):
+        drawn = np.flatnonzero(inside[start:]) + start
+        incoming = dict(zip(drawn.tolist(), self.schedule.incoming(drawn, before[drawn]).tolist()))
+        for t, k in zip(range(start, self.length), before[start:].tolist()):
             # a window step draws its concept first
-            if window and rng.random() < self.schedule.incoming(t, k):
+            if t in incoming and rng.random() < incoming[t]:
                 k += 1
             salary = _uniform(rng.random(), 20_000.0, 150_000.0)
             commission = 0.0 if salary >= 75_000.0 else _uniform(rng.random(), 10_000.0, 75_000.0)

@@ -11,11 +11,12 @@ is exactly the kind of change a concept-drift detector should notice.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
 
-from .stream import BufferedStream, drift_steps
+from .stream import BufferedStream, as_integer, drift_steps
 
 MI_BINS = 10
 MIN_MI_SAMPLE = 100
@@ -100,8 +101,14 @@ def permute_inject(
     positions = drift_steps(positions, stream.length, what="injection position")
     if not positions:
         raise ValueError("need at least one injection position")
+    if isinstance(top_fraction, bool) or not isinstance(top_fraction, numbers.Real):
+        raise ValueError(f"top_fraction must be a number, got {top_fraction!r}")
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction}")
+    bins = as_integer(bins, "bins")
+    seed = as_integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     n_selected = math.ceil(top_fraction * stream.n_features)
     pre = slice(0, positions[0])

@@ -5,12 +5,19 @@ gamma functions are evaluated with the classic series / continued-fraction
 expansions (Lentz's algorithm) rather than pulled from an external numeric
 stack, so the detector has no heavyweight runtime dependency. The test
 suite checks these routines against independent high-precision oracles.
+
+The incomplete beta's log of 1 / B(a, b) and its continued fraction's
+per-iteration factors depend on the shapes alone, so each is cached for
+the last few shape pairs: a detector's fixed test window meets one or
+two, and the bound keeps many shapes from growing memory. Reusing them
+changes no bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -45,12 +52,15 @@ def t_test_unpaired(sample_a: Sequence[float], sample_b: Sequence[float]) -> Tes
     b = np.asarray(sample_b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.size < 2 or b.size < 2:
         raise ValueError("t_test_unpaired needs two samples with at least 2 values each")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    with np.errstate(all="ignore"):  # a non-finite value is named below, not warned about
+        sum_a, sum_b = float(np.add.reduce(a)), float(np.add.reduce(b))
+    # a finite sum means finite values, so only a non-finite one needs the full check
+    if not math.isfinite(sum_a + sum_b) and not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("t_test_unpaired requires finite inputs")
     na, nb = a.size, b.size
     df = na + nb - 2
-    mean_a = float(a.mean())
-    mean_b = float(b.mean())
+    mean_a = sum_a / na  # the bits of a.mean()
+    mean_b = sum_b / nb
     ss_a = float(((a - mean_a) ** 2).sum())
     ss_b = float(((b - mean_b) ** 2).sum())
     pooled = (ss_a + ss_b) / df
@@ -113,14 +123,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
+    front = math.exp(_ln_inv_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
@@ -131,24 +134,49 @@ def _nonzero(v: float) -> float:
     return _FPMIN if abs(v) < _FPMIN else v
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, evaluated by Lentz's method."""
+@lru_cache(maxsize=8, typed=True)
+def _ln_inv_beta(a: float, b: float) -> float:
+    """lgamma(a + b) - lgamma(a) - lgamma(b), the log of 1 / B(a, b)."""
+    return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+
+
+@lru_cache(maxsize=8, typed=True)
+def _beta_cf_factors(a: float, b: float) -> tuple[tuple[float, float, float, float], ...]:
+    """Per iteration m of ``_beta_cf``: its two terms' numerators (less the factor x) and denominators."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
+    m = np.arange(1.0, _MAX_ITER + 1)  # numpy rounds each float operation as Python does
+    factors = (m * (b - m), (qam + 2 * m) * (a + 2 * m), -(a + m) * (qab + m), (a + 2 * m) * (qap + 2 * m))
+    return tuple(zip(*(f.tolist() for f in factors)))
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta, evaluated by Lentz's method.
+
+    Lentz's guard (``_nonzero``) is written inline: it runs four times
+    an iteration, and a call costs more than the test.
+    """
     c = 1.0
-    d = 1.0 / _nonzero(1.0 - qab * x / qap)
+    d = 1.0 / _nonzero(1.0 - (a + b) * x / (a + 1.0))
     h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = _nonzero(1.0 + aa * d)
-        c = _nonzero(1.0 + aa / c)
+    for num_even, den_even, num_odd, den_odd in _beta_cf_factors(a, b):
+        aa = num_even * x / den_even
+        d = 1.0 + aa * d
+        if -_FPMIN < d < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if -_FPMIN < c < _FPMIN:
+            c = _FPMIN
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = _nonzero(1.0 + aa * d)
-        c = _nonzero(1.0 + aa / c)
+        aa = num_odd * x / den_odd
+        d = 1.0 + aa * d
+        if -_FPMIN < d < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if -_FPMIN < c < _FPMIN:
+            c = _FPMIN
         d = 1.0 / d
         delta = d * c
         h *= delta

@@ -35,6 +35,8 @@ TRACKING_POLICIES = ("cdleeds", "never")
 def build_model(config: DetectorConfig, n_features: int, n_classes: int):
     """The online classifier ``config.model`` names, sized for the stream."""
     if config.model == "gnb":
+        if n_classes == 1:  # labels are class ids from 0, so a one-class stream's are all 0
+            raise ValueError("model 'gnb' needs at least two classes; every label of this stream is 0")
         return GaussianNaiveBayes(n_features, n_classes)
     if n_classes > 2:
         raise ValueError(f"logreg handles binary streams only, got {n_classes} classes")

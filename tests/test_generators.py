@@ -127,6 +127,37 @@ class TestTransitionProbability:
         expected = 1.0 / (1.0 + math.exp(-1.0))
         assert transition_probability(1100, 1000, 400) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("width", [1, 2, 37, 400, 1000])
+    def test_array_call_equals_the_scalar_formula_bit_for_bit(self, width):
+        position = 500_000
+        window = np.arange(position - width, position + width + 1)
+        # z = -4 (t - position) / width reaches the clip at 700 from 175 widths before the position
+        tails = position + width * np.array([-200, -176, -175, -174, 174, 175, 200])
+        t = np.concatenate([window, tails])
+        vector = transition_probability(t, position, width)
+        scalar = [1.0 / (1.0 + math.exp(min(-4.0 * (s - position) / width, 700.0))) for s in t.tolist()]
+        assert vector.shape == t.shape and vector.dtype == np.float64
+        assert [v.hex() for v in vector.tolist()] == [v.hex() for v in scalar]
+        assert [transition_probability(s, position, width) for s in t.tolist()] == scalar
+        assert type(transition_probability(int(t[0]), position, width)) is float
+
+    def test_array_call_takes_a_hard_switch_and_an_empty_input(self):
+        assert transition_probability(np.arange(998, 1002), 1000, 0).tolist() == [0.0, 0.0, 1.0, 1.0]
+        empty = transition_probability(np.array([], dtype=np.int64), 1000, 400)
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+    def test_schedule_gives_each_window_step_its_own_window(self):
+        schedule = DriftSchedule(positions=(100, 400), widths=(37, 150))
+        before, inside = schedule.phases(600)
+        steps = np.flatnonzero(inside)
+        vector = schedule.incoming(steps, before[steps])
+        scalar = [
+            transition_probability(t, schedule.positions[k], schedule.widths[k])
+            for t, k in zip(steps.tolist(), before[steps].tolist())
+        ]
+        assert vector.tolist() == scalar
+        assert schedule.incoming(int(steps[0]), 0) == scalar[0]
+
 
 class TestSeaStream:
     def test_thresholds_match_standard_variants(self):
@@ -287,6 +318,13 @@ class TestAgrawalStream:
             scalar = [int(rule(s, 0.0, a, e)) for s, a, e in zip(salary.tolist(), age.tolist(), elevel.tolist())]
             assert labels.tolist() == scalar
 
+    @pytest.mark.parametrize("age, group_a", [(30, {0, 1}), (50, {1, 2, 3}), (70, {2, 3, 4})])
+    def test_rule_2_takes_each_elevel_of_its_age_band(self, age, group_a):
+        rule = AGRAWAL_RULES[2]
+        expected = [0 if e in group_a else 1 for e in range(5)]
+        assert rule(0.0, 0.0, np.full(5, float(age)), np.arange(5)).tolist() == expected
+        assert [int(rule(0.0, 0.0, age, e)) for e in range(5)] == expected
+
     def test_labels_match_rule_without_perturbation(self):
         stream = AgrawalStream(length=2000, concepts=(0,), perturbation=0.0, seed=9)
         for item in stream:
@@ -389,6 +427,33 @@ class TestAgrawalStream:
         assert np.array_equal(features, rows_features)
         assert np.array_equal(labels, rows_labels)
         assert features.flags.c_contiguous and features.dtype == np.float64 and labels.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "offsets, widths, window_rows",
+        [
+            ((0, 0), (2, 2), (-1, 0, 299, 300)),
+            ((0, 0), (3, 3), (-1, 0, 1, 299, 300, 301)),
+            ((-1, 1), (1, 1), (-1, 301)),
+            ((1, -1), (1, 1), (1, 299)),
+        ],
+        ids=["b-1-to-b", "b-1-to-b+1", "b-1-and-2b+1", "b+1-and-2b-1"],
+    )
+    @pytest.mark.parametrize("perturbation", [0.1, 0.0])
+    def test_blocks_match_the_row_loop_with_window_edges_beside_block_edges(
+        self, monkeypatch, perturbation, offsets, widths, window_rows
+    ):
+        # drifts at B + offset and 2B + offset, for blocks of B rows; window rows are given relative to B
+        monkeypatch.setattr(generators, "AGRAWAL_BLOCK_ROWS", 300)
+        b = generators.AGRAWAL_BLOCK_ROWS
+        schedule = DriftSchedule(positions=(b + offsets[0], 2 * b + offsets[1]), widths=widths)
+        assert np.flatnonzero(schedule.phases(1000)[1]).tolist() == [b + r for r in window_rows]
+        stream = AgrawalStream(1000, concepts=(2, 0, 1), schedule=schedule, perturbation=perturbation, seed=17)
+        features, labels = stream.arrays()
+        rows_features = np.empty_like(features)
+        rows_labels = np.empty_like(labels)
+        stream._draw_rows(rows_features, rows_labels, 0, 0)
+        assert np.array_equal(features, rows_features)
+        assert np.array_equal(labels, rows_labels)
 
     def test_build_memory_stays_near_the_output_size(self):
         n = 20_000

@@ -1,6 +1,7 @@
 """Mutual-information ranking and permutation drift injection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,31 @@ class TestPermuteInject:
     def test_rejects_empty_positions(self):
         with pytest.raises(ValueError, match="at least one"):
             permute_inject(self._stream(), ())
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"bins": 2.5}, "bins must be an integer, got 2.5"),
+            ({"bins": True}, "bins must be an integer, got True"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"top_fraction": True}, "top_fraction must be a number, got True"),
+            ({"top_fraction": "0.5"}, "top_fraction must be a number, got '0.5'"),
+            ({"top_fraction": None}, "top_fraction must be a number, got None"),
+        ],
+        ids=["bins-float", "bins-bool", "seed-bool", "seed-float", "seed-negative", "fraction-bool", "fraction-str",
+             "fraction-none"],
+    )
+    def test_rejects_a_bad_setting_by_name(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            permute_inject(self._stream(n=400, seed=1), (200,), **setting)
+
+    def test_takes_numpy_integer_bins_and_seed(self):
+        base = self._stream(n=400, seed=1)
+        a = permute_inject(base, (200,), bins=np.int64(4), seed=np.int64(3))
+        b = permute_inject(base, (200,), bins=4, seed=3)
+        assert np.array_equal(a.features, b.features)
 
     def test_rejects_fractional_position_and_accepts_numpy_integers(self):
         with pytest.raises(ValueError, match="injection position must be an integer, got 120.9"):

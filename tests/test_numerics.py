@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from driftscope import numerics
 from driftscope.config import DetectorConfig
 from driftscope.numerics import (
     P_VALUE_FLOOR,
@@ -38,6 +39,59 @@ def _dissimilar(a, b, gamma):
     tree = AdaptiveClusterTree(len(a), DetectorConfig(gamma=gamma))
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     return float(d @ d) > tree._dist2_threshold
+
+
+def _direct_beta_cf(a, b, x):
+    """Lentz's continued fraction with every factor recomputed in the loop and the guard as a call."""
+
+    def nonzero(v):
+        return 1e-300 if abs(v) < 1e-300 else v
+
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, 401):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = nonzero(1.0 + aa * d)
+        c = nonzero(1.0 + aa / c)
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = nonzero(1.0 + aa * d)
+        c = nonzero(1.0 + aa / c)
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 3e-16:
+            return h
+    raise ArithmeticError("no convergence")
+
+
+def _direct_reg_inc_beta(x, a, b):
+    """I_x(a, b) with lgamma taken on every call, as ``reg_inc_beta`` computes it without its caches."""
+    if x in (0.0, 1.0):
+        return x
+    ln_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
+    front = math.exp(ln_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _direct_beta_cf(a, b, x) / a
+    return 1.0 - front * _direct_beta_cf(b, a, 1.0 - x) / b
+
+
+def _direct_t_test(a, b):
+    """(statistic, p-value) of the pooled t-test with means from ``ndarray.mean``."""
+    na, nb = a.size, b.size
+    df = na + nb - 2
+    mean_a, mean_b = float(a.mean()), float(b.mean())
+    pooled = (float(((a - mean_a) ** 2).sum()) + float(((b - mean_b) ** 2).sum())) / df
+    if pooled <= 0.0:
+        if mean_a == mean_b:
+            return 0.0, 1.0
+        return (math.inf if mean_a > mean_b else -math.inf), 0.0
+    stat = (mean_a - mean_b) / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
+    return stat, min(max(_direct_reg_inc_beta(df / (df + stat * stat), df / 2.0, 0.5), 0.0), 1.0)
 
 
 class TestRbfSimilarity:
@@ -147,6 +201,37 @@ class TestTTest:
         with pytest.raises(ValueError):
             t_test_unpaired([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "sample",
+        [[1.0, math.nan], [math.inf, 1.0], [2.0, -math.inf], [math.inf, -math.inf], [1e308, 1e308, -math.inf]],
+        ids=["nan", "inf", "-inf", "inf-and-minus-inf", "overflow-then-minus-inf"],
+    )
+    def test_rejects_non_finite_values_without_a_warning(self, sample):
+        # the suite turns a RuntimeWarning into an error, so a warned sum would fail this test
+        with pytest.raises(ValueError, match="finite inputs"):
+            t_test_unpaired([0.5, 1.5, 2.5], sample)
+        with pytest.raises(ValueError, match="finite inputs"):
+            t_test_unpaired(sample, [0.5, 1.5, 2.5])
+
+    def test_gives_the_bits_of_the_direct_form(self):
+        rng = np.random.default_rng(101)
+        pairs = []
+        for _ in range(100):  # the acceptance check's pairs
+            n = int(rng.integers(10, 200))
+            pairs.append((rng.normal(rng.uniform(-1, 1), rng.uniform(0.5, 2.0), size=n),
+                          rng.normal(rng.uniform(-1, 1), rng.uniform(0.5, 2.0), size=n)))
+        for i in range(2000):
+            na, nb = int(rng.integers(2, 120)), int(rng.integers(2, 120))
+            scale = 10.0 ** int(rng.integers(-6, 7))
+            a = rng.normal(rng.normal(), rng.uniform(0.1, 3.0), size=na) * scale
+            b = rng.normal(rng.normal(), rng.uniform(0.1, 3.0), size=nb) * scale
+            if i % 97 == 0:
+                a, b = np.full(na, 1.5), np.full(nb, 1.5 + (i % 2))
+            pairs.append((a, b))
+        for a, b in pairs:
+            res = t_test_unpaired(a, b)
+            assert (res.statistic, res.p_value) == _direct_t_test(a, b)
+
 
 class TestFisherCombine:
     def test_frozen_example(self):
@@ -246,6 +331,23 @@ class TestRegIncBeta:
             b = float(rng.uniform(0.2, 20.0))
             x = float(rng.uniform(0.0, 1.0))
             assert reg_inc_beta(x, a, b) == pytest.approx(1.0 - reg_inc_beta(1.0 - x, b, a), abs=1e-12)
+
+    def test_cached_factors_give_the_bits_of_the_direct_loop(self):
+        rng = np.random.default_rng(31)
+        cases = [(float(x), 0.5 + (i % 7), 0.75 + (i % 5)) for i, x in enumerate(np.linspace(0.02, 0.98, 50))]
+        for _ in range(3000):
+            a = float(rng.choice([rng.uniform(0.05, 5.0), rng.uniform(5.0, 300.0), int(rng.integers(1, 200)) / 2]))
+            b = float(rng.choice([0.5, rng.uniform(0.05, 5.0), rng.uniform(5.0, 300.0)]))
+            cases.append((float(rng.uniform(0.0, 1.0)), a, b))
+        for x, a, b in cases:
+            assert reg_inc_beta(x, a, b) == _direct_reg_inc_beta(x, a, b), (x, a, b)
+
+    def test_factor_caches_stay_within_their_bound(self):
+        for i in range(100):
+            reg_inc_beta(0.4, 1.0 + i, 0.5)
+        for cached in (numerics._beta_cf_factors, numerics._ln_inv_beta):
+            info = cached.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize <= 8
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):

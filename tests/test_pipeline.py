@@ -60,6 +60,19 @@ class TestBuildModel:
     def test_kind_listing(self):
         assert MODEL_KINDS == ("logreg", "gnb")
 
+    ONE_CLASS = "^model 'gnb' needs at least two classes; every label of this stream is 0$"
+
+    def test_gnb_names_a_one_class_stream(self):
+        with pytest.raises(ValueError, match=self.ONE_CLASS):
+            build_model(DetectorConfig(model="gnb"), 4, 1)
+
+    @pytest.mark.parametrize("entry", ["run_detection", "ddm_runner"])
+    def test_one_class_stream_under_gnb_fails_at_model_build(self, entry):
+        stream = BufferedStream(features=np.random.default_rng(0).random((50, 4)), labels=np.zeros(50, dtype=np.int64))
+        run = (lambda s: run_detection(s, model="gnb")) if entry == "run_detection" else ddm_runner(model="gnb")
+        with pytest.raises(ValueError, match=self.ONE_CLASS):
+            run(stream)
+
 
 class TestRunDetection:
     def test_model_learns_the_stationary_concept(self):
