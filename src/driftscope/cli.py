@@ -187,7 +187,7 @@ def cmd_detect(args) -> int:
     _write_jsonl(out / "alerts.jsonl", (alert.to_dict() for alert in result.alerts))
     _write_jsonl(
         out / "stats.jsonl",
-        ({"t": t, "node_count": n, "leaf_count": l} for t, n, l in result.stats),
+        ({"t": t, "node_count": n, "leaf_count": l} for t, n, l in result.iter_stats()),
     )
     _write_json(
         out / "summary.json",

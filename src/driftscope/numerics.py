@@ -52,18 +52,20 @@ def t_test_unpaired(sample_a: Sequence[float], sample_b: Sequence[float]) -> Tes
     b = np.asarray(sample_b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.size < 2 or b.size < 2:
         raise ValueError("t_test_unpaired needs two samples with at least 2 values each")
-    with np.errstate(all="ignore"):  # a non-finite value is named below, not warned about
-        sum_a, sum_b = float(np.add.reduce(a)), float(np.add.reduce(b))
-    # a finite sum means finite values, so only a non-finite one needs the full check
-    if not math.isfinite(sum_a + sum_b) and not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("t_test_unpaired requires finite inputs")
     na, nb = a.size, b.size
     df = na + nb - 2
-    mean_a = sum_a / na  # the bits of a.mean()
-    mean_b = sum_b / nb
-    ss_a = float(((a - mean_a) ** 2).sum())
-    ss_b = float(((b - mean_b) ** 2).sum())
+    with np.errstate(all="ignore"):  # a non-finite value or an overflow is named below, not warned about
+        sum_a, sum_b = float(np.add.reduce(a)), float(np.add.reduce(b))
+        # a finite sum means finite values, so only a non-finite one needs the full check
+        if not math.isfinite(sum_a + sum_b) and not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("t_test_unpaired requires finite inputs")
+        mean_a = sum_a / na  # the bits of a.mean()
+        mean_b = sum_b / nb
+        ss_a = float(((a - mean_a) ** 2).sum())
+        ss_b = float(((b - mean_b) ** 2).sum())
     pooled = (ss_a + ss_b) / df
+    if pooled == math.inf:  # finite values whose sum or sum of squares leaves the float range
+        raise ValueError("t_test_unpaired overflows: a sum or sum of squares of the samples exceeds the float range")
     if pooled <= 0.0:
         if mean_a == mean_b:
             return TestResult(0.0, 1.0, float(df))

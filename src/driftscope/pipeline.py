@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .config import DetectorConfig
 from .evaluation import DetectorRunner, DdmDetector
 from .models import GaussianNaiveBayes, OnlineLogisticRegression
 from .stream import StreamSource, as_integer, scaled
-from .tree import SCOPE_GLOBAL, AdaptiveClusterTree, DriftAlert
+from .tree import SCOPE_GLOBAL, AdaptiveClusterTree, DriftAlert, leaf_count_of
 
 TRACKING_POLICIES = ("cdleeds", "never")
 
@@ -91,7 +92,8 @@ class RunResult:
     """Everything a detection run produces, timing kept separate."""
 
     alerts: tuple[DriftAlert, ...]
-    stats: tuple[tuple[int, int, int], ...]  # (t, node_count, leaf_count)
+    # (t, node_count) at step 1 and at every step whose node count differs from the step before
+    node_counts: tuple[tuple[int, int], ...]
     accuracy: float
     steps: int
     mean_update_seconds: float
@@ -101,6 +103,19 @@ class RunResult:
     def global_alert_steps(self) -> list[int]:
         return sorted({a.t for a in self.alerts if a.scope == SCOPE_GLOBAL})
 
+    @property
+    def stats(self) -> tuple[tuple[int, int, int], ...]:
+        """``(t, node_count, leaf_count)`` of every step t >= 1."""
+        return tuple(self.iter_stats())
+
+    def iter_stats(self) -> Iterator[tuple[int, int, int]]:
+        """The rows of ``stats`` one at a time, expanded from ``node_counts``."""
+        bounds = self.node_counts + ((self.steps + 1, 0),)
+        for (start, count), (end, _) in zip(bounds, bounds[1:]):
+            leaves = leaf_count_of(count)
+            for t in range(start, end):
+                yield t, count, leaves
+
 
 def run_detection(stream: StreamSource, **settings) -> RunResult:
     """Run the change detector prequentially over a labeled stream.
@@ -108,13 +123,16 @@ def run_detection(stream: StreamSource, **settings) -> RunResult:
     ``settings`` are ``DetectorConfig`` fields; the rest keep their
     defaults. The first observation only trains the model and seeds the
     baseline; detection starts at step 1 so that the detector always
-    sees a model that has been trained at least once.
+    sees a model that has been trained at least once. The tree's node
+    count is kept only at the steps where it changes, so a long run holds
+    no per-step record; ``RunResult.stats`` expands it per step.
     """
     config = DetectorConfig(**settings)
     detector = _ChangeDetector(config, stream)
     tree = detector.tree
     alerts: list[DriftAlert] = []
-    stats: list[tuple[int, int, int]] = []
+    node_counts: list[tuple[int, int]] = []
+    last_count = 0  # the tree holds a node after step 1, so step 1 is always kept
     correct = 0
     steps = 0
     detector_seconds = 0.0
@@ -126,11 +144,13 @@ def run_detection(stream: StreamSource, **settings) -> RunResult:
         tick = time.perf_counter()
         alerts.extend(detector.detect(item.x, diff, t))
         detector_seconds += time.perf_counter() - tick
-        stats.append((t, tree.node_count, tree.leaf_count))
+        if tree.node_count != last_count:
+            last_count = tree.node_count
+            node_counts.append((t, last_count))
     total_seconds = time.perf_counter() - started
     return RunResult(
         alerts=tuple(alerts),
-        stats=tuple(stats),
+        node_counts=tuple(node_counts),
         accuracy=correct / steps if steps else 0.0,
         steps=steps,
         mean_update_seconds=detector_seconds / steps if steps else 0.0,

@@ -54,6 +54,12 @@ def distances(xs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.vecdot(d, d)
 
 
+def leaf_count_of(node_count: int) -> int:
+    """Leaves of a tree of ``node_count`` nodes."""
+    # splits add two children, prunes drop whole branches: the tree stays full binary
+    return (node_count + 1) // 2
+
+
 @dataclass(frozen=True)
 class DriftAlert:
     """A single detected change, local to one leaf or global; ``t`` is the step of the write that raised it."""
@@ -206,8 +212,7 @@ class AdaptiveClusterTree:
 
     @property
     def leaf_count(self) -> int:
-        # splits add two children, prunes drop whole branches: the tree stays full binary
-        return (self.node_count + 1) // 2
+        return leaf_count_of(self.node_count)
 
     def _reshaped(self) -> None:
         self._leaves = None

@@ -213,6 +213,15 @@ class TestTTest:
         with pytest.raises(ValueError, match="finite inputs"):
             t_test_unpaired(sample, [0.5, 1.5, 2.5])
 
+    @pytest.mark.parametrize(
+        "sample", [[1e308, 1e308, 1.0], [1e200, -1e200, 0.0]], ids=["sum-overflows", "squares-overflow"]
+    )
+    def test_names_an_overflow_without_a_warning(self, sample):
+        with pytest.raises(ValueError, match="t_test_unpaired overflows"):
+            t_test_unpaired(sample, [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="t_test_unpaired overflows"):
+            t_test_unpaired([0.0, 1.0, 2.0], sample)
+
     def test_gives_the_bits_of_the_direct_form(self):
         rng = np.random.default_rng(101)
         pairs = []

@@ -1,5 +1,7 @@
 """Prequential detection and attribution-tracking runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from driftscope.injection import permute_inject
 from driftscope.models import GaussianNaiveBayes, OnlineLogisticRegression
 from driftscope.pipeline import (
     TRACKING_POLICIES,
+    _ChangeDetector,
     build_model,
     cdleeds_runner,
     ddm_runner,
@@ -138,6 +141,41 @@ class TestRunDetection:
         assert nodes[0] == 1 and leaves[0] == 1
         assert max(nodes) > 1
         assert all(l <= n for n, l in zip(nodes, leaves))
+
+    def test_stats_are_the_tree_size_after_every_step(self, monkeypatch):
+        record = []
+        detect = _ChangeDetector.detect
+
+        def recorded(detector, x, diff, t):
+            alerts = detect(detector, x, diff, t)
+            nodes = detector.tree.nodes
+            record.append((t, len(nodes), sum(node.left is None for node in nodes)))
+            return alerts
+
+        monkeypatch.setattr(_ChangeDetector, "detect", recorded)
+        result = run_detection(_sea(3000, seed=4, positions=(1500,)), window=20, max_age=60)
+        counts = [n for _, n, _ in record]
+        assert any(a < b for a, b in zip(counts, counts[1:]))
+        assert any(a > b for a, b in zip(counts, counts[1:]))
+        assert result.stats == tuple(record)
+        assert len(result.node_counts) < len(record)
+
+    def test_run_keeps_no_per_step_record(self):
+        n = 20_000
+        schedule = DriftSchedule(positions=(n // 4, n // 2, 3 * n // 4), widths=(1000,) * 3)
+        stream = buffer_stream(
+            AgrawalStream(n, concepts=(0, 1, 2, 0), schedule=schedule, perturbation=0.1, seed=1001)
+        )
+        # long enough for leaves to fill their windows and test them, which warms the numerics caches
+        run_detection(AgrawalStream(3000, perturbation=0.1), model="gnb")
+        tracemalloc.start()
+        try:
+            result = run_detection(stream, model="gnb")
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.steps == n - 1
+        assert retained < 256 * 2**10
 
     def test_gnb_model_runs(self):
         result = run_detection(_sea(800, seed=6), model="gnb")
