@@ -90,10 +90,10 @@ class AttributionTracker:
         self.phis = np.empty((0, tree.n_features))
         self.leaf_ids = np.empty(0, dtype=np.int64)
         self.history: list[list[tuple[str, AttributionVector]]] = []
-        # As of the tree's (writes, reshapes) _seen, _d2[j, row] is xs[row]'s distance to the centroid of
-        # tree.nodes[j], and _at[tree.nodes[j]] is j. _seen None: recompute them all at the next step.
+        # As of the tree's (writes, reshapes) _seen, _d2[j, row] is xs[row]'s distance to tree.centroids[j],
+        # the centroid of the node whose ``at`` is j. _seen None: recompute them all at the next step.
         self._seen: tuple[int, int] | None = None
-        self._d2, self._at = np.empty((0, 0)), {}
+        self._d2 = np.empty((0, 0))
 
     def _check_phi(self, vec: AttributionVector) -> None:
         if np.shape(vec.phi) != (self.tree.n_features,):
@@ -107,8 +107,7 @@ class AttributionTracker:
         self.phis = np.vstack((self.phis, vec.phi))
         self.history.append([(REASON_INITIAL, vec)])
         if self._seen == (tree.writes, tree.reshapes):
-            centroids = np.array([node.centroid for node in tree.nodes])
-            self._d2 = np.hstack((self._d2, distances(centroids, self.xs[-1:])))
+            self._d2 = np.hstack((self._d2, distances(tree.centroids, self.xs[-1:])))
         else:
             self._seen = None
         return len(self.history) - 1
@@ -124,30 +123,31 @@ class AttributionTracker:
 
     def step(self, alerts: list[DriftAlert]) -> list[tuple[int, str]]:
         """(row, reason) for each row gone stale, in row order."""
-        tree, at, rows = self.tree, self._at, []
+        tree, rows = self.tree, []
         if not tree.nodes:
             raise ValueError("tree is empty; update it with an observation first")
         seen, self._seen = self._seen, (tree.writes, tree.reshapes)
-        moved = tree.path[1:]  # no decision reads the root's distance, so it is left stale
+        moved = [node.at for node in tree.path[1:]]  # no decision reads the root's distance, so it is left stale
         if moved and seen == (tree.writes - 1, tree.reshapes):  # one write, structure kept: only its path moved
-            kids = np.array([at[child] for node in tree.path[:-1] for child in (node.left, node.right)])
+            kids = np.array([child.at for node in tree.path[:-1] for child in (node.left, node.right)])
             before = self._d2[kids]
-            self._d2[[at[node] for node in moved]] = distances(np.array([node.centroid for node in moved]), self.xs)
+            self._d2[moved] = distances(tree.centroids[moved], self.xs)
             after = self._d2[kids]
             # only a flipped decision can move a row: walk those down again
             rows = ((before[::2] <= before[1::2]) != (after[::2] <= after[1::2])).any(axis=0).nonzero()[0].tolist()
         elif seen != self._seen:  # missed writes or a new structure: recompute every distance, walk every row
-            self._d2 = distances(np.array([node.centroid for node in tree.nodes]), self.xs)
-            at = self._at = {node: j for j, node in enumerate(tree.nodes)}
+            self._d2 = distances(tree.centroids, self.xs)
             rows = range(len(self.leaf_ids))
+        alerted = [a.node_id for a in alerts if a.scope == SCOPE_LOCAL]
+        if not rows and not alerted:  # the common step: no row to walk, none to flag
+            return []
         leaf_ids = self.leaf_ids.copy()
         for row in rows:
             node, d2 = tree.nodes[0], self._d2[:, row].tolist()
             while node.left is not None:
-                node = node.left if d2[at[node.left]] <= d2[at[node.right]] else node.right
+                node = node.left if d2[node.left.at] <= d2[node.right.at] else node.right
             leaf_ids[row] = node.node_id
         changed, self.leaf_ids = leaf_ids != self.leaf_ids, leaf_ids
-        alerted = [a.node_id for a in alerts if a.scope == SCOPE_LOCAL]
         stale = changed | np.isin(leaf_ids, alerted) if alerted else changed
         rows = stale.nonzero()[0].tolist()
         return [(row, REASON_LEAF_CHANGE if changed[row] else REASON_LOCAL_ALERT) for row in rows]

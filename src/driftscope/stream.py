@@ -12,6 +12,7 @@ its declared ranges or else its column min and max, then steps rows.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 from dataclasses import dataclass, field
@@ -169,11 +170,22 @@ def read_csv(
     numeric column, and non-finite numbers (nan, inf) are rejected with
     the file's line and the column named, the first fault in reading
     order: row by row; in a row the field count, features, then label.
-    The file is read once, so a pipe serves as well as a regular file.
+    The file is read once, so a pipe serves as well as a regular file,
+    and decoded as UTF-8 whatever the locale, a leading byte-order mark
+    dropped; a byte that does not decode is rejected with its line.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        lines = fh.readlines()
+    data = path.read_bytes()
+    try:  # decoded a chunk at a time, so no copy of the whole text is held beside the lines
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="").readlines()
+    except UnicodeDecodeError:
+        try:
+            data.decode("utf-8-sig")  # a chunk's error cannot place the byte in the file; this one can
+        except UnicodeDecodeError as err:
+            # CR, LF and CRLF end a line, as in text mode; neither byte occurs inside a UTF-8 sequence
+            read = err.object[: err.start]
+            line = read.count(b"\n") + read.count(b"\r") - read.count(b"\r\n") + 1
+            raise CsvParseError(f"{path}: row {line}: byte {err.object[err.start]:#04x} is not UTF-8 text") from None
     reader = csv.reader(lines)
     header = [name.strip() for name in next(filter(None, reader), ())]
     header_line = reader.line_num

@@ -8,11 +8,12 @@ seeded by their window's two most distant rows (an exact scan of the
 pairs, one row at a time); branches starved of traffic are pruned by an
 age rule. Drift is tested locally per leaf (older window half vs newer
 half) and globally by combining the leaf-level p-values with Fisher's
-method. The nodes live in one preorder list. A write walks down a level
-at a time, each one subtraction and one ``vecdot`` against the node's
-``pair`` (its children's centroids as rows); a read (``find_leaf``)
-walks down the same way without appending. Reads and writes reject a
-non-finite vector.
+method. The nodes live in one preorder list, and their centroids in one
+matrix whose row j is the centroid of the node at j. A write takes its
+squared distances to every centroid with one subtraction and one
+``vecdot``, then walks down a level at a time to the nearer child; a
+read (``find_leaf``) walks down the same way without appending. Reads
+and writes reject a non-finite vector.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _farthest_pair(xs: np.ndarray) -> tuple[int, int]:
 
 
 def distances(xs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """K x N squared distances, as row dot products that round as ``_nearer_child``'s do."""
+    """K x N squared distances, as row dot products that round as a write's routing does."""
     d = xs[:, None, :] - centroids[None, :, :]
     return np.vecdot(d, d)
 
@@ -88,7 +89,7 @@ class ClusterNode:
         "right",
         "last_p",
         "centroid",
-        "pair",
+        "at",
         "_w",
         "_xs",
         "_diffs",
@@ -106,14 +107,14 @@ class ClusterNode:
         self.left: ClusterNode | None = None
         self.right: ClusterNode | None = None
         self.last_p: float | None = None
-        self.pair: np.ndarray | None = None  # while internal: the children's centroids as rows
+        self.at = -1  # the node's index in the tree's preorder list and row in its centroid matrix
         self._w = window
         self._xs = np.empty((window, n_features), dtype=float)
         self._diffs = np.empty(window, dtype=float)
         self._start = 0
         self.size = 0
         self._sum = np.zeros(n_features, dtype=float)
-        self.centroid = centroid  # kept at the window mean in place: a child's is a row of its parent's pair
+        self.centroid = centroid  # kept at the window mean in place: once placed, a row of the tree's centroids
         self.test_len = 0
         self._appends = 0
 
@@ -124,16 +125,17 @@ class ClusterNode:
     def append(self, x: np.ndarray, diff: float) -> None:
         """Push a pair, evicting the oldest when the window is full."""
         if self.size < self._w:
-            idx = (self._start + self.size) % self._w
+            idx = self.size  # _start stays 0 until the window is full
             self.size += 1
             self._sum += x
         else:
             idx = self._start
             self._sum += x - self._xs[idx]
-            self._start = (self._start + 1) % self._w
+            self._start = idx + 1 if idx + 1 < self._w else 0
         self._xs[idx] = x
         self._diffs[idx] = diff
-        self.test_len = min(self.test_len + 1, self._w)
+        if self.test_len < self._w:
+            self.test_len += 1
         self._appends += 1
         if self._appends % _EXACT_SUM_EVERY == 0:
             self._sum = self._xs[: self.size].sum(axis=0)
@@ -163,7 +165,9 @@ class AdaptiveClusterTree:
     scaled to [0, 1]); ``config`` supplies ``gamma``, ``alpha``,
     ``window``, ``max_age`` and ``max_depth``, documented and checked by
     ``DetectorConfig``. ``nodes`` holds every node in preorder (left
-    before right), the order in which Fisher's method sums leaf p-values.
+    before right), the order in which Fisher's method sums leaf p-values;
+    ``centroids`` is an N x m matrix whose row j is ``nodes[j].centroid``
+    itself, and ``nodes[j].at`` is j.
     ``path`` lists the nodes the latest ``update`` appended to, root to
     leaf; ``writes`` counts the updates and ``reshapes`` the structure
     changes (root creation, split, prune).
@@ -179,6 +183,7 @@ class AdaptiveClusterTree:
         self.max_age = config.max_age
         self.max_depth = config.max_depth
         self.nodes: list[ClusterNode] = []
+        self.centroids = np.empty((0, n_features))
         self.path: list[ClusterNode] = []
         self.writes = self.reshapes = 0
         # the preorder leaf list, dropped when the structure changes
@@ -215,8 +220,17 @@ class AdaptiveClusterTree:
         return leaf_count_of(self.node_count)
 
     def _reshaped(self) -> None:
+        """Rebuild the centroid matrix from the nodes' centroids and make each one a view of its row."""
+        self.centroids = np.array([node.centroid for node in self.nodes])
+        for j, node in enumerate(self.nodes):
+            node.at, node.centroid = j, self.centroids[j]
         self._leaves = None
         self.reshapes += 1
+
+    def _distances(self, x: np.ndarray) -> list[float]:
+        """x's squared distance to every centroid, by row."""
+        d = x - self.centroids
+        return np.vecdot(d, d).tolist()
 
     def _feature_vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -231,16 +245,10 @@ class AdaptiveClusterTree:
         x = self._feature_vector(x)
         if not self.nodes:
             raise ValueError("tree is empty; update it with an observation first")
-        node = self.nodes[0]
+        node, d2 = self.nodes[0], self._distances(x)
         while node.left is not None:
-            node = self._nearer_child(node, x)
+            node = node.left if d2[node.left.at] <= d2[node.right.at] else node.right
         return node
-
-    @staticmethod
-    def _nearer_child(node: ClusterNode, x: np.ndarray) -> ClusterNode:
-        d = x - node.pair
-        dl2, dr2 = np.vecdot(d, d).tolist()
-        return node.left if dl2 <= dr2 else node.right
 
     # ------------------------------------------------------------------
     # updates
@@ -255,20 +263,24 @@ class AdaptiveClusterTree:
         if self._last_t is not None and t <= self._last_t:
             raise ValueError(f"time steps must be strictly increasing, got {t} after {self._last_t}")
         if not self.nodes:
-            self.nodes.append(self._new_node(0, x.copy()))
+            self.nodes.append(self._new_node(0, x))
             self._reshaped()
         alerts: list[DriftAlert] = []
         self.writes += 1
         self._last_t = t
-        self.path = self._update_node(self.nodes[0], x, diff, alerts)
+        self.path = self._update_node(self.nodes[0], x, diff, alerts, self._distances(x))
         return alerts
 
-    def _update_node(self, node: ClusterNode, x: np.ndarray, diff: float, alerts: list[DriftAlert]) -> list:
+    def _update_node(
+        self, node: ClusterNode, x: np.ndarray, diff: float, alerts: list[DriftAlert], d2: list[float]
+    ) -> list:
         """Walk x down from ``node`` to a leaf, aging and appending at each node, by nearer children.
 
-        The leaf splits or runs its local test; then, bottom up, each child on the path takes its
-        parent's age, and a parent whose other child lags ``max_age`` of its updates behind is pruned.
-        Returns the nodes appended to, top down.
+        ``d2`` holds x's squared distance to each centroid row, taken before the walk; the walk appends
+        only to the node it stands on, so the children's rows it compares are still current. The leaf
+        splits or runs its local test; then, bottom up, each child on the path takes its parent's age,
+        and a parent whose other child lags ``max_age`` of its updates behind is pruned. Returns the
+        nodes appended to, top down.
         """
         path = []
         while True:
@@ -277,7 +289,7 @@ class AdaptiveClusterTree:
             path.append(node)
             if node.left is None:
                 break
-            node = self._nearer_child(node, x)
+            node = node.left if d2[node.left.at] <= d2[node.right.at] else node.right
         split = node.size >= 2 and (self.max_depth is None or node.depth < self.max_depth)
         if split:
             gaps = node.window_observations() - node.centroid
@@ -290,7 +302,8 @@ class AdaptiveClusterTree:
                 alerts.append(alert)
         for parent in path[-2::-1]:
             node.age = parent.age
-            if parent.age - min(parent.left.age, parent.right.age) >= self.max_age:
+            left_age, right_age = parent.left.age, parent.right.age
+            if parent.age - (left_age if left_age <= right_age else right_age) >= self.max_age:
                 alert = self.prune(parent)
                 if alert is not None:
                     alerts.append(alert)
@@ -315,17 +328,17 @@ class AdaptiveClusterTree:
         if len(xs) < 2:
             raise ValueError("cannot split a window with fewer than 2 observations")
         i, j = _farthest_pair(xs)
-        node.pair = xs[[i, j]]
-        left = self._new_node(node.depth + 1, node.pair[0], age=node.age)
-        right = self._new_node(node.depth + 1, node.pair[1], age=node.age)
+        left = self._new_node(node.depth + 1, xs[i], age=node.age)
+        right = self._new_node(node.depth + 1, xs[j], age=node.age)
         node.left, node.right = left, right
         at = self.nodes.index(node) + 1
         self.nodes[at:at] = [left, right]
         self._reshaped()
         alerts: list[DriftAlert] = []
         for k in range(len(xs)):
-            child = self._nearer_child(node, xs[k])
-            self._update_node(child, xs[k], float(diffs[k]), alerts)
+            d2 = self._distances(xs[k])
+            child = left if d2[left.at] <= d2[right.at] else right
+            self._update_node(child, xs[k], float(diffs[k]), alerts, d2)
             child.age = node.age
         return alerts
 
@@ -342,7 +355,7 @@ class AdaptiveClusterTree:
             end += 1
         del self.nodes[start:end]
         self._reshaped()
-        node.left = node.right = node.pair = None
+        node.left = node.right = None
         return self.test_local_change(node, kind=KIND_PRUNE_RETEST)
 
     # ------------------------------------------------------------------

@@ -183,6 +183,40 @@ class TestReadCsv:
         original = [",".join(repr(float(v)) for v in row) for row in values]
         assert reserialized == original
 
+    @pytest.mark.parametrize(
+        "text, names, labels",
+        [
+            ("label,a,b\r\nx,1,2\r\ny,3,4\r\n", ("a", "b"), [0, 1]),
+            ("a,label,b\n1,x,2\n3,y,4\n", ("a", "b"), [0, 1]),  # the first feature's name comes out clean
+        ],
+        ids=["label-first", "label-not-first"],
+    )
+    def test_byte_order_mark_is_dropped(self, tmp_path, text, names, labels):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        stream = read_csv(p, label_column="label")
+        assert stream.feature_names == names
+        np.testing.assert_array_equal(stream.features, [[1.0, 2.0], [3.0, 4.0]])
+        assert stream.labels.tolist() == labels
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # a CRLF, a lone CR and a lone LF each end a line, as in text mode
+            ("a,label\r\n1,0\r\u00e9,1\n".encode("latin-1"), "row 3: byte 0xe9 is not UTF-8 text"),
+            ("a,label\n1,0\n2,1\n".encode("utf-16"), "row 1: byte 0xff is not UTF-8 text"),
+            # well past the first chunk the lines are decoded in
+            (b"a,label\n" + b"1,0\n" * 5000 + b"\xe9,1\n", "row 5002: byte 0xe9 is not UTF-8 text"),
+        ],
+        ids=["latin-1", "utf-16", "past-the-first-chunk"],
+    )
+    def test_bytes_that_are_not_utf8_are_named_by_line(self, tmp_path, data, message):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(data)
+        with pytest.raises(CsvParseError) as err:
+            read_csv(p, label_column="label")
+        assert str(err.value) == f"{p}: {message}"
+
 
 class TestBufferedStream:
     def test_yields_declared_count_with_increasing_t(self):

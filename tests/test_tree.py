@@ -294,7 +294,7 @@ class TestFindLeaf:
 
 
 class TestWritePath:
-    @pytest.mark.parametrize("m", [1, 2, 9])
+    @pytest.mark.parametrize("m", [1, 2, 3, 9])
     def test_path_is_the_descent_and_holds_every_moved_centroid(self, m):
         rng = np.random.default_rng(40 + m)
         tree = _tree(m=m, window=8, max_age=60, max_depth=None)
@@ -659,27 +659,39 @@ class TestInvariants:
         assert len(pruned) > 0 and max(pruned) >= 4
         assert tested > 0
 
-    @pytest.mark.parametrize("m", [2, 9])
-    def test_pairs_are_the_childrens_centroids(self, m):
-        # the streams of test_routing_matches_update_path, with a short max_age so branches also prune
+    @pytest.mark.parametrize("m, max_depth", [(2, 5), (9, 5), (2, None)])
+    def test_centroids_are_the_rows_of_one_matrix(self, m, max_depth):
+        # the streams of test_routing_matches_update_path, with a short max_age so branches also prune,
+        # and with no depth limit besides: in each a child also splits while its parent's window is replayed
         rng = np.random.default_rng(12)
-        tree = _tree(m=m, window=8, max_age=12)
+        tree = _tree(m=m, window=8, max_age=12, max_depth=max_depth)
+        split_leaf, open_splits, nested = tree.split_leaf, [], []
+
+        def counting_split(node):
+            nested.append(bool(open_splits))
+            open_splits.append(node)
+            try:
+                return split_leaf(node)
+            finally:
+                open_splits.pop()
+
+        tree.split_leaf = counting_split
         splits = prunes = 0
         for t, x in enumerate(rng.uniform(0, 1, size=(300, m))):
             count = tree.node_count
             tree.update(x, 0.0, t)
             splits += tree.node_count > count
             prunes += tree.node_count < count
-            for node in tree.nodes:
-                if node.is_leaf:
-                    assert node.pair is None
-                    continue
-                for row, child in zip(node.pair, (node.left, node.right)):
-                    # the row is the child's centroid array itself, kept at its window mean
-                    assert np.shares_memory(row, child.centroid) and row.shape == child.centroid.shape
-                    assert np.array_equal(child.centroid, child._sum / child.size)
-                    np.testing.assert_allclose(child.centroid, child.window_observations().mean(axis=0), atol=1e-12)
+            assert tree.centroids.shape == (tree.node_count, m)
+            for j, node in enumerate(tree.nodes):
+                # the node's centroid is its row of the matrix itself, kept at its window mean
+                assert node.at == j
+                assert np.shares_memory(tree.centroids[j], node.centroid)
+                assert node.centroid.shape == (m,)
+                assert np.array_equal(tree.centroids[j], node._sum / node.size)
+                np.testing.assert_allclose(node.centroid, node.window_observations().mean(axis=0), atol=1e-12)
         assert splits > 10 and prunes > 5
+        assert any(nested)
 
     def test_split_conserves_window_multiset(self):
         rng = np.random.default_rng(99)
