@@ -8,17 +8,12 @@ sigmoid transition window around each scheduled drift position.
 
 Each generator builds its stream as whole arrays (``arrays()``). SEA
 draws only doubles, so one ``rng.random(n)`` call draws it all. Agrawal
-mixes doubles with ``rng.integers`` draws, which take 32-bit halves of
-the raw words, and a row's word count depends on its salary draw. It is
-built in blocks of rows: one ``random_raw`` call draws a block's words,
-which become one array of doubles; one pass through a byte table of row
-lengths finds each row's first word, and gathers and whole-array
-arithmetic turn the words into the very values the row loop would draw.
-From the first row where Lemire's method would reject an integer draw
-and redraw, the row loop draws the rest. Window rows get their concept
-probabilities as one vector per stream or block: ``transition_probability``
-takes arrays and maps ``math.exp`` over them, so every value keeps the
-bits of a scalar call.
+is drawn in blocks of ``AGRAWAL_BLOCK_ROWS`` rows, each block from two
+calls of one generator, and every block, the last one too, draws a whole
+block's values, so a stream's first rows do not depend on its length.
+Window rows get their concept probabilities as one vector per stream or
+block: ``transition_probability`` takes arrays and maps ``math.exp``
+over them, so every value keeps the bits of a scalar call.
 """
 
 from __future__ import annotations
@@ -205,20 +200,9 @@ def _agrawal_rule_2(salary, commission, age, elevel):
 
 AGRAWAL_RULES = (_agrawal_rule_0, _agrawal_rule_1, _agrawal_rule_2)
 
-# Agrawal rows drawn per block of raw words: enough to spread numpy's
-# per-call cost, few enough that a block's temporaries stay small.
+# Agrawal rows drawn per block. The block size is part of the stream's
+# definition: the draws of a block are laid out by it.
 AGRAWAL_BLOCK_ROWS = 2048
-
-
-def _doubles(words: np.ndarray) -> np.ndarray:
-    """``rng.random()`` of each raw PCG64 word: its top 53 bits times 2**-53."""
-    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-
-
-def _integers(halves: np.ndarray, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
-    """``rng.integers(low, high)`` of each 32-bit half, and where Lemire's method would reject it and draw again."""
-    m = halves * np.uint64(high - low)
-    return low + (m >> np.uint64(32)).astype(np.int64), (m & np.uint64(0xFFFFFFFF)) < 2**32 % (high - low)
 
 
 class AgrawalStream(_GeneratorBase):
@@ -229,19 +213,14 @@ class AgrawalStream(_GeneratorBase):
     feature by a uniform offset of up to that fraction of its range,
     clipped back to the legal range.
 
-    The stream is the one a row loop draws from ``default_rng(seed)``
-    (``_draw_rows``), built in blocks of ``AGRAWAL_BLOCK_ROWS`` rows from
-    raw PCG64 words. A row takes, in order: its concept draw (inside a
-    transition window only), salary, commission (salary below 75k only),
-    age, one word whose low and high 32-bit halves give elevel and car,
-    one word whose low half gives zipcode, hvalue, loan, and at
-    perturbation > 0 the jitters of salary, commission (if drawn), age,
-    hvalue, hyears and loan. hyears takes the high half of the zipcode
-    word, which the bit generator buffers across the doubles between. A
-    row is thus 6 + w + c words, or 11 + w + 2c with jitter, where w and
-    c mark the concept and commission draws. From the first row whose
-    integer draw Lemire's method would reject and redraw (about 1 row in
-    1e8), the rest of the stream comes from the row loop.
+    Each block of ``AGRAWAL_BLOCK_ROWS`` rows takes two draws from one
+    ``default_rng(seed)``: ``rng.random((12, AGRAWAL_BLOCK_ROWS))``, whose
+    rows give the concept draw (read in window rows only), salary,
+    commission, age, hvalue and loan, then the jitters of salary,
+    commission, age, hvalue, hyears and loan; and ``rng.integers`` of
+    shape ``(AGRAWAL_BLOCK_ROWS, 4)``, whose columns give elevel, car,
+    zipcode and hyears. The last block is drawn whole and cut to the
+    stream's end.
     """
 
     n_features = 9
@@ -270,120 +249,31 @@ class AgrawalStream(_GeneratorBase):
         features = np.empty((self.length, self.n_features))
         labels = np.empty(self.length, dtype=np.int64)
         before, inside = self.schedule.phases(self.length)
-        base, extra = self._row_words
-        word = 0  # the first raw word of the block's first row
+        rng = np.random.default_rng(self.seed)
         for lo in range(0, self.length, AGRAWAL_BLOCK_ROWS):
-            rows = range(lo, min(lo + AGRAWAL_BLOCK_ROWS, self.length))
-            most = (base + extra) * len(rows) + int(inside[lo : rows.stop].sum())
-            words = np.random.PCG64(self.seed).advance(word).random_raw(most)
-            kept, used = self._draw_block(words, rows, before, inside, features, labels)
-            word += used
-            if kept < len(rows):  # a rejected integer draw: the row loop takes over from that row
-                self._draw_rows(features, labels, lo + kept, word)
-                break
-        return features, labels
-
-    @property
-    def _row_words(self) -> tuple[int, int]:
-        """Raw words of a row outside a window that draws no commission, and the words a commission adds."""
-        return (11, 2) if self.perturbation > 0.0 else (6, 1)
-
-    def _row_starts(self, u: np.ndarray, window: np.ndarray) -> np.ndarray:
-        """Each row's first word, then the word after the last row; ``u`` holds the words' doubles.
-
-        ``window`` marks window rows. A row from word p takes ``table[p]``
-        words, from the table of rows outside a window (salary at word p)
-        or inside one (salary at word p + 1).
-        """
-        base, extra = self._row_words
-        added = (_uniform(u, 20_000.0, 150_000.0) < 75_000.0).astype(np.uint8) * extra  # a commission's words
-        tables = ((base + added).tobytes(), (base + 1 + added[1:]).tobytes())
-
-        def starts(p=0):
-            yield p
-            for w in window.tolist():
-                p += tables[w][p]
-                yield p
-
-        return np.fromiter(starts(), np.int64, len(window) + 1)
-
-    def _draw_block(self, words, rows, before, inside, features, labels) -> tuple[int, int]:
-        """Draw rows ``rows`` into ``features`` and ``labels`` from ``words``, which begin at the first row.
-
-        Stops at the first row whose integer draw Lemire's method would
-        reject. Returns the rows written and the words they used.
-        """
-        u = _doubles(words)
-        window = inside[rows.start : rows.stop]
-        starts = self._row_starts(u, window)
-        s = starts[:-1] + window  # the salary word
-        salary = _uniform(u[s], 20_000.0, 150_000.0)
-        c = salary < 75_000.0
-        commission = np.where(c, _uniform(u[s + 1], 10_000.0, 75_000.0), 0.0)
-        q = s + c  # age is word q + 1
-        age = _uniform(u[q + 1], 20.0, 80.0)
-        elevel, r0 = _integers(words[q + 2] & np.uint64(0xFFFFFFFF), 0, 5)
-        car, r1 = _integers(words[q + 2] >> np.uint64(32), 1, 21)
-        zipcode, r2 = _integers(words[q + 3] & np.uint64(0xFFFFFFFF), 0, 9)
-        hyears, r3 = _integers(words[q + 3] >> np.uint64(32), 1, 31)
-        hvalue = (9.0 - zipcode) * 100_000.0 * _uniform(u[q + 4], 0.5, 1.5)
-        loan = _uniform(u[q + 5], 0.0, 500_000.0)
-        k = before[rows.start : rows.stop].copy()
-        drawn = np.flatnonzero(window)
-        k[drawn] += u[starts[drawn]] < self.schedule.incoming(drawn + rows.start, k[drawn])
-        rules = np.array(self.concepts)[k]
-        block_labels = np.choose(rules, [rule(salary, commission, age, elevel) for rule in AGRAWAL_RULES])
-        if self.perturbation > 0.0:
-            salary = self._perturb(salary, u[q + 6], 20_000.0, 150_000.0)
-            commission = np.where(c, self._perturb(commission, u[q + 7], 10_000.0, 75_000.0), commission)
-            r = q + c  # age's jitter is word r + 7
-            age = self._perturb(age, u[r + 7], 20.0, 80.0)
-            hvalue = self._perturb(hvalue, u[r + 8], (9.0 - zipcode) * 50_000.0, (9.0 - zipcode) * 150_000.0)
-            hyears = self._perturb(hyears, u[r + 9], 1.0, 30.0)
-            loan = self._perturb(loan, u[r + 10], 0.0, 500_000.0)
-        rejected = np.flatnonzero(r0 | r1 | r2 | r3)
-        kept = int(rejected[0]) if len(rejected) else len(rows)
-        block = features[rows.start : rows.start + kept]
-        for j, column in enumerate((salary, commission, age, elevel, car, zipcode, hvalue, hyears, loan)):
-            block[:, j] = column[:kept]
-        labels[rows.start : rows.start + kept] = block_labels[:kept]
-        return kept, int(starts[kept])
-
-    def _draw_rows(self, features, labels, start, first_word):
-        """Rows ``start`` onwards, one at a time, from the generator whose next word is word ``first_word``.
-
-        The reference the block draw reproduces; ``arrays`` runs it only
-        from a row whose integer draw Lemire's method rejects.
-        """
-        rng = np.random.Generator(np.random.PCG64(self.seed).advance(first_word))
-        before, inside = self.schedule.phases(self.length)
-        drawn = np.flatnonzero(inside[start:]) + start
-        incoming = dict(zip(drawn.tolist(), self.schedule.incoming(drawn, before[drawn]).tolist()))
-        for t, k in zip(range(start, self.length), before[start:].tolist()):
-            # a window step draws its concept first
-            if t in incoming and rng.random() < incoming[t]:
-                k += 1
-            salary = _uniform(rng.random(), 20_000.0, 150_000.0)
-            commission = 0.0 if salary >= 75_000.0 else _uniform(rng.random(), 10_000.0, 75_000.0)
-            age = _uniform(rng.random(), 20.0, 80.0)
-            elevel = int(rng.integers(0, 5))
-            car = int(rng.integers(1, 21))
-            zipcode = int(rng.integers(0, 9))
-            hvalue = (9.0 - zipcode) * 100_000.0 * _uniform(rng.random(), 0.5, 1.5)
-            hyears = float(rng.integers(1, 31))
-            loan = _uniform(rng.random(), 0.0, 500_000.0)
-            labels[t] = AGRAWAL_RULES[self.concepts[k]](salary, commission, age, elevel)
+            n = min(AGRAWAL_BLOCK_ROWS, self.length - lo)
+            u = rng.random((12, AGRAWAL_BLOCK_ROWS))[:, :n]
+            elevel, car, zipcode, hyears = rng.integers((0, 1, 0, 1), (5, 21, 9, 31), (AGRAWAL_BLOCK_ROWS, 4))[:n].T
+            salary = _uniform(u[1], 20_000.0, 150_000.0)
+            c = salary < 75_000.0
+            commission = np.where(c, _uniform(u[2], 10_000.0, 75_000.0), 0.0)
+            age = _uniform(u[3], 20.0, 80.0)
+            hvalue = (9.0 - zipcode) * 100_000.0 * _uniform(u[4], 0.5, 1.5)
+            loan = _uniform(u[5], 0.0, 500_000.0)
+            k = before[lo : lo + n].copy()
+            drawn = np.flatnonzero(inside[lo : lo + n])
+            k[drawn] += u[0, drawn] < self.schedule.incoming(drawn + lo, k[drawn])
+            rules = np.array(self.concepts)[k]
+            labels[lo : lo + n] = np.choose(rules, [rule(salary, commission, age, elevel) for rule in AGRAWAL_RULES])
             if self.perturbation > 0.0:
-                salary = self._perturb(salary, rng.random(), 20_000.0, 150_000.0)
-                if commission > 0.0:
-                    commission = self._perturb(commission, rng.random(), 10_000.0, 75_000.0)
-                age = self._perturb(age, rng.random(), 20.0, 80.0)
-                hval_lo = (9.0 - zipcode) * 50_000.0
-                hval_hi = (9.0 - zipcode) * 150_000.0
-                hvalue = self._perturb(hvalue, rng.random(), hval_lo, hval_hi)
-                hyears = self._perturb(hyears, rng.random(), 1.0, 30.0)
-                loan = self._perturb(loan, rng.random(), 0.0, 500_000.0)
-            features[t] = salary, commission, age, elevel, car, zipcode, hvalue, hyears, loan
+                salary = self._perturb(salary, u[6], 20_000.0, 150_000.0)
+                commission = np.where(c, self._perturb(commission, u[7], 10_000.0, 75_000.0), commission)
+                age = self._perturb(age, u[8], 20.0, 80.0)
+                hvalue = self._perturb(hvalue, u[9], (9.0 - zipcode) * 50_000.0, (9.0 - zipcode) * 150_000.0)
+                hyears = self._perturb(hyears, u[10], 1.0, 30.0)
+                loan = self._perturb(loan, u[11], 0.0, 500_000.0)
+            features[lo : lo + n] = np.column_stack((salary, commission, age, elevel, car, zipcode, hvalue, hyears, loan))
+        return features, labels
 
 
 GENERATORS = {"sea": SeaStream, "agrawal": AgrawalStream}

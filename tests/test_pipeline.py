@@ -422,6 +422,19 @@ class TestRunners:
             with pytest.raises(ValueError, match=r"^feature 0: range \[-1e\+308, 1e\+308\] has no finite span$"):
                 run(stream)
 
+    @pytest.mark.parametrize(
+        "run",
+        [run_detection, lambda s: run_tracking(s, sample_size=5, sample_prefix=10), ddm_runner()],
+        ids=["detection", "tracking", "ddm"],
+    )
+    def test_a_nan_under_declared_ranges_fails_its_step_by_name(self, run):
+        rng = np.random.default_rng(0)
+        features = rng.uniform(size=(100, 2))
+        features[20, 1] = np.nan
+        stream = BufferedStream(features, (features[:, 0] > 0.5).astype(np.int64), feature_ranges=((0.0, 1.0),) * 2)
+        with pytest.raises(ValueError, match=r"^row 20, feature 1 \('f1'\): nan does not scale to a finite number$"):
+            run(stream)
+
     def test_ddm_runner_rejects_bad_setting_when_built(self):
         with pytest.raises(ValueError, match="'model'"):
             ddm_runner(model="svm")

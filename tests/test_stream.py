@@ -384,6 +384,27 @@ class TestScaled:
             assert obs.t == t and obs.y == stream.labels[t]
             assert obs.x.tobytes() == expected.tobytes()
 
+    def test_a_declared_span_that_overflows_a_value_names_its_cell(self):
+        pulled = []
+
+        class CountingStream(BufferedStream):
+            def __iter__(self):
+                for item in super().__iter__():
+                    pulled.append(item.t)
+                    yield item
+
+        # 1.0 over the span 5e-324 overflows to inf, and raises no RuntimeWarning (an error in this suite)
+        stream = CountingStream(
+            features=np.array([[0.0, 0.5], [1.0, 0.5], [0.0, 0.2]]),
+            labels=np.zeros(3, dtype=np.int64),
+            feature_ranges=((0.0, 5e-324), (0.0, 1.0)),
+        )
+        items = scaled(stream)
+        assert next(items).t == 0
+        with pytest.raises(ValueError, match=r"^row 1, feature 0 \('f0'\): 1\.0 does not scale to a finite number$"):
+            next(items)
+        assert pulled == [0, 1]  # the bad row is handed over, as a step that fails there would take it
+
     def test_pulls_one_hand_over_per_item_it_yields(self):
         pulled = []
 
