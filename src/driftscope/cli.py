@@ -185,10 +185,7 @@ def cmd_detect(args) -> int:
     result = run_detection(stream, **detector_settings(cfg))
     out = _out_dir(args)
     _write_jsonl(out / "alerts.jsonl", (alert.to_dict() for alert in result.alerts))
-    _write_jsonl(
-        out / "stats.jsonl",
-        ({"t": t, "node_count": n, "leaf_count": l} for t, n, l in result.iter_stats()),
-    )
+    _write_jsonl(out / "tree.jsonl", ({"t": t, "node_count": n} for t, n in result.node_counts))
     _write_json(
         out / "summary.json",
         {

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .config import DetectorConfig
 from .evaluation import DetectorRunner, DdmDetector
 from .models import GaussianNaiveBayes, OnlineLogisticRegression
 from .stream import StreamSource, as_integer, scaled
-from .tree import SCOPE_GLOBAL, AdaptiveClusterTree, DriftAlert, leaf_count_of
+from .tree import SCOPE_GLOBAL, AdaptiveClusterTree, DriftAlert
 
 TRACKING_POLICIES = ("cdleeds", "never")
 
@@ -103,19 +102,6 @@ class RunResult:
     def global_alert_steps(self) -> list[int]:
         return sorted({a.t for a in self.alerts if a.scope == SCOPE_GLOBAL})
 
-    @property
-    def stats(self) -> tuple[tuple[int, int, int], ...]:
-        """``(t, node_count, leaf_count)`` of every step t >= 1."""
-        return tuple(self.iter_stats())
-
-    def iter_stats(self) -> Iterator[tuple[int, int, int]]:
-        """The rows of ``stats`` one at a time, expanded from ``node_counts``."""
-        bounds = self.node_counts + ((self.steps + 1, 0),)
-        for (start, count), (end, _) in zip(bounds, bounds[1:]):
-            leaves = leaf_count_of(count)
-            for t in range(start, end):
-                yield t, count, leaves
-
 
 def run_detection(stream: StreamSource, **settings) -> RunResult:
     """Run the change detector prequentially over a labeled stream.
@@ -124,8 +110,8 @@ def run_detection(stream: StreamSource, **settings) -> RunResult:
     defaults. The first observation only trains the model and seeds the
     baseline; detection starts at step 1 so that the detector always
     sees a model that has been trained at least once. The tree's node
-    count is kept only at the steps where it changes, so a long run holds
-    no per-step record; ``RunResult.stats`` expands it per step.
+    count is kept only at step 1 and at the steps where it changes
+    (``RunResult.node_counts``), so a long run holds no per-step record.
     """
     config = DetectorConfig(**settings)
     detector = _ChangeDetector(config, stream)

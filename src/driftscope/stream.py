@@ -21,6 +21,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+# the largest magnitude ``scaled`` hands over; squared distances between such rows stay finite
+SCALED_BOUND = 1e150
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -279,7 +282,10 @@ def scaled(source: StreamSource) -> Iterator[Observation]:
     each step of the buffered stream is handed over with its scaled row.
     The scaled matrix is checked once, before the first step: the first row
     with a cell that does not scale to a finite number (a NaN, an overflow)
-    is handed over, not yielded, and raises ``ValueError`` naming the cell.
+    or scales past ``SCALED_BOUND`` (1e150) in magnitude is handed over, not
+    yielded, and raises ``ValueError`` naming the cell. Within the bound a
+    squared distance over m features, at most m * (2e150)**2, stays finite
+    for any m below 4e7.
     """
     if not source.length:
         return
@@ -287,10 +293,11 @@ def scaled(source: StreamSource) -> Iterator[Observation]:
     ranges = buffered.feature_ranges or zip(buffered.features.min(axis=0), buffered.features.max(axis=0))
     with np.errstate(over="ignore", invalid="ignore"):
         rows = Normalizer(*zip(*ranges)).normalize(buffered.features)
-    bad = np.argwhere(~np.isfinite(rows))
+    bad = np.argwhere(~(np.abs(rows) <= SCALED_BOUND))  # a NaN compares false
     for item, row in zip(buffered, rows[: bad[0, 0] if len(bad) else len(rows)]):  # the bad row: handed over, unyielded
         yield Observation(item.t, row, item.y)
     if len(bad):
         r, j = bad[0].tolist()
         name, raw = buffered.feature_names[j], buffered.features[r, j].item()
-        raise ValueError(f"row {r}, feature {j} ({name!r}): {raw!r} does not scale to a finite number")
+        what = f"a magnitude of at most {SCALED_BOUND:g}" if np.isfinite(rows[r, j]) else "a finite number"
+        raise ValueError(f"row {r}, feature {j} ({name!r}): {raw!r} does not scale to {what}")

@@ -232,20 +232,23 @@ class AdaptiveClusterTree:
         d = x - self.centroids
         return np.vecdot(d, d).tolist()
 
-    def _feature_vector(self, x) -> np.ndarray:
+    def _checked_distances(self, x) -> tuple[np.ndarray, list[float] | None]:
+        """x as a vector of the tree's shape, checked finite, and its distances (None on an empty tree)."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_features,):
             raise ValueError(f"expected feature vector of shape ({self.n_features},), got {x.shape}")
-        if not np.isfinite(x).all():
+        # every centroid is finite, so a NaN or inf in x shows in its first distance; an empty tree has none
+        d2 = self._distances(x) if self.nodes else None
+        if not (np.isfinite(x).all() if d2 is None else math.isfinite(d2[0])):
             raise ValueError("feature vector must be finite")
-        return x
+        return x, d2
 
     def find_leaf(self, x: np.ndarray) -> ClusterNode:
         """Descend to the leaf whose centroid is most similar to x (ties go left), as a write walks."""
-        x = self._feature_vector(x)
-        if not self.nodes:
+        x, d2 = self._checked_distances(x)
+        if d2 is None:
             raise ValueError("tree is empty; update it with an observation first")
-        node, d2 = self.nodes[0], self._distances(x)
+        node = self.nodes[0]
         while node.left is not None:
             node = node.left if d2[node.left.at] <= d2[node.right.at] else node.right
         return node
@@ -256,19 +259,20 @@ class AdaptiveClusterTree:
 
     def update(self, x: np.ndarray, diff: float, t: int) -> list[DriftAlert]:
         """Route one observation through the tree at integer step ``t``; returns the alerts it raised."""
-        x = self._feature_vector(x)
+        x, d2 = self._checked_distances(x)
         if not math.isfinite(diff):
             raise ValueError("update requires a finite diff")
         t = as_integer(t, "time step")
         if self._last_t is not None and t <= self._last_t:
             raise ValueError(f"time steps must be strictly increasing, got {t} after {self._last_t}")
-        if not self.nodes:
+        if d2 is None:
             self.nodes.append(self._new_node(0, x))
             self._reshaped()
+            d2 = self._distances(x)
         alerts: list[DriftAlert] = []
         self.writes += 1
         self._last_t = t
-        self.path = self._update_node(self.nodes[0], x, diff, alerts, self._distances(x))
+        self.path = self._update_node(self.nodes[0], x, diff, alerts, d2)
         return alerts
 
     def _update_node(

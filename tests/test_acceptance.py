@@ -383,7 +383,7 @@ class TestAcceptance:
         pairs = []
         for name, args, files in (
             ("detect", ["detect", "--input", str(stream_csv)],
-             ("alerts.jsonl", "stats.jsonl", "summary.json")),
+             ("alerts.jsonl", "tree.jsonl", "summary.json")),
             ("track", ["track-attributions", "--input", str(stream_csv),
                        "--sample-size", "20", "--sample-prefix", "500", "--seed", "4"],
              ("attributions.csv", "summary.json")),

@@ -353,10 +353,9 @@ class TestDetect:
         assert "1199 steps" in printed
         summary = json.loads((out / "summary.json").read_text())
         assert summary["steps"] == 1199
-        stats = (out / "stats.jsonl").read_text().splitlines()
-        assert len(stats) == 1199
-        first = json.loads(stats[0])
-        assert first == {"t": 1, "node_count": 1, "leaf_count": 1}
+        tree_rows = (out / "tree.jsonl").read_text().splitlines()
+        assert json.loads(tree_rows[0]) == {"t": 1, "node_count": 1}
+        assert not (out / "stats.jsonl").exists()
         for line in (out / "alerts.jsonl").read_text().splitlines():
             alert = json.loads(line)
             assert alert["scope"] in ("local", "global")
@@ -371,7 +370,7 @@ class TestDetect:
         a, b = tmp_path / "a", tmp_path / "b"
         assert _run(args + ["--out", str(a)], capsys)[0] == 0
         assert _run(args + ["--out", str(b)], capsys)[0] == 0
-        for name in ("alerts.jsonl", "stats.jsonl", "summary.json"):
+        for name in ("alerts.jsonl", "tree.jsonl", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_frozen_model_constant_csv_stays_silent(self, tmp_path, capsys):
@@ -384,6 +383,7 @@ class TestDetect:
         )
         assert code == 0
         assert (out / "alerts.jsonl").read_text() == ""
+        assert (out / "tree.jsonl").read_text() == '{"node_count": 1, "t": 1}\n'
 
     def test_depth_zero_keeps_single_leaf(self, tmp_path, capsys):
         out = tmp_path / "det"
@@ -393,9 +393,7 @@ class TestDetect:
             capsys,
         )
         assert code == 0
-        for line in (out / "stats.jsonl").read_text().splitlines():
-            row = json.loads(line)
-            assert row["node_count"] == 1 and row["leaf_count"] == 1
+        assert (out / "tree.jsonl").read_text() == '{"node_count": 1, "t": 1}\n'
 
     def test_odd_window_names_field(self, tmp_path, capsys):
         code, _, err = _run(

@@ -11,10 +11,12 @@ only that something did. A deliberate output change rewrites both with
     PYTHONPATH=src python3 tests/test_golden.py [CASE ...]
 
 and is recorded in CHANGES.md together with its reason and the summary
-diff. Named cases rewrite only their own entries and leave every other
-one as it is, so a new case can be added without accepting changes
-elsewhere; an unknown name is an error. With no names, every entry is
-rewritten.
+diff. Named cases replace only their own entries (a key of a file the
+case no longer writes goes) and leave every other one as it is, so a new
+case can be added without accepting changes elsewhere; an unknown name
+is an error. With no names, every entry is rewritten. Each rewritten case
+prints the digest keys it added, removed or changed, and every summary
+field that moved, old -> new.
 """
 
 import csv
@@ -36,7 +38,7 @@ SUMMARIES = DIGESTS.with_name("summaries.json")
 STREAM = "gen/stream.csv"
 GENERATE = ["generate", "--kind", "sea", "--length", "3000", "--positions", "1500",
             "--seed", "3", "--out", "gen"]
-DETECT_FILES = ("alerts.jsonl", "stats.jsonl", "summary.json")
+DETECT_FILES = ("alerts.jsonl", "tree.jsonl", "summary.json")
 TRACK_FILES = ("attributions.csv", "summary.json")
 BENCH_FILES = ("report.csv", "report.json")
 TRACK = ["track-attributions", "--input", STREAM, "--sample-size", "20",
@@ -83,10 +85,9 @@ def summarize(out: Path) -> dict:
         summary["alerts"] = Counter(f"{a['scope']}/{a['kind']}" for a in alerts)
         summary["first_last_alert_step"] = [min(steps), max(steps)] if steps else None
         summary["global_alert_steps"] = [a["t"] for a in alerts if a["scope"] == "global"]
-    if (out / "stats.jsonl").exists():
-        rows = map(json.loads, (out / "stats.jsonl").read_text().splitlines())
-        counts = [(row["t"], row["node_count"]) for row in rows]
-        summary["node_count_changes"] = [[t, n] for (t, n), (_, m) in zip(counts, [(0, None), *counts]) if n != m]
+    if (out / "tree.jsonl").exists():
+        rows = map(json.loads, (out / "tree.jsonl").read_text().splitlines())
+        summary["node_count_changes"] = [[row["t"], row["node_count"]] for row in rows]
     if (out / "attributions.csv").exists():
         with open(out / "attributions.csv", newline="") as f:
             summary["attribution_rows"] = Counter(row["reason"] for row in csv.DictReader(f))
@@ -145,17 +146,40 @@ def test_golden_covers_every_case():
     assert set(json.loads(SUMMARIES.read_text())) == set(CASES)
 
 
+def _case_of(key: str) -> str:
+    return key.split("/", 1)[0]
+
+
+def _as_json(value):
+    return json.loads(json.dumps(value))  # a Counter reads as the dict it is written as
+
+
 if __name__ == "__main__":
     names = sys.argv[1:] or list(CASES)
     unknown = [name for name in names if name not in CASES]
     if unknown:
         sys.exit(f"unknown golden case(s): {', '.join(unknown)}; expected some of {', '.join(CASES)}")
-    digests = json.loads(DIGESTS.read_text()) if sys.argv[1:] else {}
-    summaries = json.loads(SUMMARIES.read_text()) if sys.argv[1:] and SUMMARIES.exists() else {}
+    old_digests = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    old_summaries = json.loads(SUMMARIES.read_text()) if SUMMARIES.exists() else {}
+    # a named case's old entries go, so a file it no longer writes leaves no key behind
+    digests = {k: v for k, v in old_digests.items() if _case_of(k) not in names} if sys.argv[1:] else {}
+    summaries = {k: v for k, v in old_summaries.items() if k not in names} if sys.argv[1:] else {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in names:
-            digests_of_case, summaries[case] = run_case(case, Path(tmp))
-            digests.update(digests_of_case)
+            case_digests, summaries[case] = run_case(case, Path(tmp))
+            digests.update(case_digests)
+            before = {k: v for k, v in old_digests.items() if _case_of(k) == case}
+            for key in sorted(before.keys() | case_digests.keys()):
+                if key not in case_digests:
+                    print(f"{case}: removed {key}")
+                elif key not in before:
+                    print(f"{case}: added {key}")
+                elif before[key] != case_digests[key]:
+                    print(f"{case}: changed {key}")
+            old, new = old_summaries.get(case, {}), _as_json(summaries[case])
+            for field in sorted(old.keys() | new.keys()):
+                if old.get(field) != new.get(field):
+                    print(f"{case}: summary {field}: {json.dumps(old.get(field))} -> {json.dumps(new.get(field))}")
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     write_summaries(summaries)

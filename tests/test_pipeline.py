@@ -85,8 +85,7 @@ class TestRunDetection:
     def test_first_observation_only_trains(self):
         result = run_detection(_sea(500, seed=1))
         assert result.steps == 499
-        assert result.stats[0][0] == 1
-        assert result.stats[-1][0] == 499
+        assert result.node_counts[0] == (1, 1)
 
     def test_prequential_accuracy_matches_manual_replay(self):
         stream = _sea(400, seed=7)
@@ -131,33 +130,37 @@ class TestRunDetection:
         a = run_detection(stream)
         b = run_detection(stream)
         assert a.alerts == b.alerts
-        assert a.stats == b.stats
+        assert a.node_counts == b.node_counts
         assert a.accuracy == b.accuracy
 
-    def test_stats_track_tree_growth(self):
+    def test_node_counts_track_tree_growth(self):
         result = run_detection(_sea(2000, seed=5))
-        nodes = [row[1] for row in result.stats]
-        leaves = [row[2] for row in result.stats]
-        assert nodes[0] == 1 and leaves[0] == 1
+        steps = [t for t, _ in result.node_counts]
+        nodes = [n for _, n in result.node_counts]
+        assert result.node_counts[0] == (1, 1)
         assert max(nodes) > 1
-        assert all(l <= n for n, l in zip(nodes, leaves))
+        # change points only: strictly later steps, each with a count other than the one before
+        assert all(a < b for a, b in zip(steps, steps[1:]))
+        assert all(a != b for a, b in zip(nodes, nodes[1:]))
 
-    def test_stats_are_the_tree_size_after_every_step(self, monkeypatch):
+    def test_node_counts_expand_to_the_tree_size_after_every_step(self, monkeypatch):
         record = []
         detect = _ChangeDetector.detect
 
         def recorded(detector, x, diff, t):
             alerts = detect(detector, x, diff, t)
-            nodes = detector.tree.nodes
-            record.append((t, len(nodes), sum(node.left is None for node in nodes)))
+            record.append((t, detector.tree.node_count))
             return alerts
 
         monkeypatch.setattr(_ChangeDetector, "detect", recorded)
         result = run_detection(_sea(3000, seed=4, positions=(1500,)), window=20, max_age=60)
-        counts = [n for _, n, _ in record]
+        counts = [n for _, n in record]
         assert any(a < b for a, b in zip(counts, counts[1:]))
         assert any(a > b for a, b in zip(counts, counts[1:]))
-        assert result.stats == tuple(record)
+        # each change point's count holds until the next one, and the last until the run's final step
+        ends = [t for t, _ in result.node_counts[1:]] + [result.steps + 1]
+        expanded = [(t, n) for (start, n), end in zip(result.node_counts, ends) for t in range(start, end)]
+        assert expanded == record
         assert len(result.node_counts) < len(record)
 
     def test_run_keeps_no_per_step_record(self):
@@ -244,8 +247,7 @@ class TestTreeSettles:
     )
     def test_default_tree_settles_on_stationary_stream(self, generator, model):
         result = run_detection(generator(length=20000, seed=1), model=model)
-        counts = [node_count for _, node_count, _ in result.stats]
-        changes = sum(a != b for a, b in zip(counts, counts[1:]))
+        changes = len(result.node_counts) - 1  # every row after step 1's is a change
         assert changes <= self.MAX_STRUCTURE_CHANGES
 
 
@@ -407,7 +409,7 @@ class TestRunners:
         one_row = BufferedStream(np.zeros((1, 3)), np.zeros(1, np.int64))
         for stream in (empty, one_row):
             result = run_detection(stream)
-            assert (result.steps, result.accuracy, result.alerts, result.stats) == (0, 0.0, (), ())
+            assert (result.steps, result.accuracy, result.alerts, result.node_counts) == (0, 0.0, (), ())
             assert result.global_alert_steps == []
             assert ddm_runner()(stream) == ([], 0.0)
             assert len(list(scaled(stream))) == stream.length
@@ -433,6 +435,21 @@ class TestRunners:
         features[20, 1] = np.nan
         stream = BufferedStream(features, (features[:, 0] > 0.5).astype(np.int64), feature_ranges=((0.0, 1.0),) * 2)
         with pytest.raises(ValueError, match=r"^row 20, feature 1 \('f1'\): nan does not scale to a finite number$"):
+            run(stream)
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda s: run_detection(s, window=8), lambda s: run_tracking(s, sample_size=5, sample_prefix=100), ddm_runner()],
+        ids=["detection", "tracking", "ddm"],
+    )
+    def test_a_value_scaling_past_the_magnitude_bound_fails_its_step_by_name(self, run):
+        # 1e300 is finite, but its squared distances would overflow to inf
+        rng = np.random.default_rng(0)
+        features = rng.uniform(size=(300, 2))
+        features[150, 1] = 1e300
+        stream = BufferedStream(features, (features[:, 0] > 0.5).astype(np.int64), feature_ranges=((0.0, 1.0),) * 2)
+        message = r"^row 150, feature 1 \('f1'\): 1e\+300 does not scale to a magnitude of at most 1e\+150$"
+        with pytest.raises(ValueError, match=message):
             run(stream)
 
     def test_ddm_runner_rejects_bad_setting_when_built(self):

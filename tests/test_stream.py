@@ -405,6 +405,18 @@ class TestScaled:
             next(items)
         assert pulled == [0, 1]  # the bad row is handed over, as a step that fails there would take it
 
+    def test_magnitude_is_bounded_at_1e150(self):
+        # 1e150 scales to itself under the range (0, 1) and passes, at either sign; the next double up does not
+        bound = 1e150
+        features = np.array([[bound, 0.5], [-bound, 0.5], [0.5, np.nextafter(bound, np.inf)]])
+        stream = BufferedStream(features, np.zeros(3, dtype=np.int64), feature_ranges=((0.0, 1.0),) * 2)
+        items = scaled(stream)
+        assert [next(items).x[0] for _ in range(2)] == [bound, -bound]
+        with pytest.raises(
+            ValueError, match=r"^row 2, feature 1 \('f1'\): 1\.0000000000000002e\+150 does not scale to a magnitude of at most 1e\+150$"
+        ):
+            next(items)
+
     def test_pulls_one_hand_over_per_item_it_yields(self):
         pulled = []
 

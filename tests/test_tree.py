@@ -241,12 +241,15 @@ class TestFindLeaf:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_vector(self, bad):
-        tree = _tree(m=2)
-        _feed(tree, [[0.0, 0.0], [1.0, 1.0]])
-        # reads reject what writes reject
-        for call in (tree.find_leaf, lambda x: tree.update(x, 0.0, 10)):
-            with pytest.raises(ValueError, match="finite"):
-                call(np.array([0.5, bad]))
+        fed = _tree(m=2)
+        _feed(fed, [[0.0, 0.0], [1.0, 1.0]])
+        # reads reject what writes reject, on an empty tree too, where a read names x before the emptiness
+        for tree, writes in ((fed, 2), (_tree(m=2), 0)):
+            nodes = tree.node_count
+            for call in (tree.find_leaf, lambda x: tree.update(x, 0.0, 10)):
+                with pytest.raises(ValueError, match="^feature vector must be finite$"):
+                    call(np.array([0.5, bad]))
+            assert (tree.node_count, tree.writes) == (nodes, writes)
 
     def test_tie_goes_left(self):
         tree = _tree()
